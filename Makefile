@@ -1,6 +1,6 @@
 # Convenience targets for the repro repository.
 
-.PHONY: install build-ext clean-ext test bench bench-perf bench-check validate table1 casestudy examples serve cluster verify fuzz all
+.PHONY: install build-ext clean-ext test bench bench-perf bench-check validate table1 casestudy examples serve verify fuzz all
 
 install:
 	python setup.py develop
@@ -59,11 +59,5 @@ fuzz: verify
 # persistent solution store directory; PORT=0 binds an ephemeral port.
 serve:
 	PYTHONPATH=src python -m repro.serve.cli --port $(or $(PORT),8642) $(if $(STORE),--store-dir $(STORE))
-
-# Sharded serving: front router + SHARDS workers with a tiered
-# content-addressed store cluster (docs/CLUSTER.md).  STORE= persists the
-# per-shard stores and cluster map across restarts.
-cluster:
-	PYTHONPATH=src python -m repro.cluster.cli --shards $(or $(SHARDS),4) --port $(or $(PORT),8642) $(if $(STORE),--store-root $(STORE))
 
 all: install test bench validate examples

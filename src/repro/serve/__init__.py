@@ -10,28 +10,21 @@ in front of them:
   and Prometheus ``/metrics``; per-request deadlines, structured errors,
   and 429 backpressure.
 * :class:`~repro.serve.coalesce.Coalescer` — request coalescing (identical
-  canonical solves share one in-flight job) and micro-batching into the
-  solve tier (:func:`repro.eval.parallel.run_parallel`).
+  canonical solves share one in-flight job) and micro-batching into an
+  inline solve on one executor thread (:func:`repro.sched.map_tasks`).
 * :class:`~repro.serve.store.SolutionStore` — content-addressed on-disk
   artifacts keyed by :func:`repro.core.cache.stable_digest`, LRU-bounded,
   layered under the in-memory solve cache so a restarted server serves
   its old working set with zero new solves.
-* :class:`~repro.serve.prefetch.Prefetcher` — predictive store warming:
-  each store miss enqueues low-priority neighbor solves (adjacent
-  ``n_max``, the observed sweep direction, unroll-factor ladders, shape
-  ladders) that run through the task scheduler while the foreground
-  intake is idle.
 * :class:`~repro.serve.client.ServeClient` — blocking client speaking the
   same protocol, with optional bounded-jittered retries on 429/503 and
   transport errors; ``repro-serve`` (:mod:`repro.serve.cli`) runs the
   server.
 
-Scale-out lives one package over: :mod:`repro.cluster` shards this server
-N ways behind a digest-routing front with a tiered (memory → local store
-→ peer shard) lookup path.
-
-Protocol, batching, and store semantics are documented in
-``docs/SERVING.md``; the cluster in ``docs/CLUSTER.md``.
+The service is one process: a request's solve path is coalescer →
+store → inline solve, which reads and fills the in-memory solve cache.
+Protocol, batching, store semantics and the measured single-process
+ceiling are documented in ``docs/SERVING.md``.
 """
 
 from .client import (
@@ -42,9 +35,7 @@ from .client import (
     ServerBusyError,
 )
 from .coalesce import Coalescer, QueueFullError
-from .prefetch import Prefetcher
 from .protocol import (
-    TRACE_HEADER,
     BadRequestError,
     SimulateSpec,
     SolveSpec,
@@ -60,7 +51,6 @@ __all__ = [
     "DeadlineExceededError",
     "InfeasibleRequestError",
     "PartitionServer",
-    "Prefetcher",
     "QueueFullError",
     "ServeClient",
     "ServeError",
@@ -68,7 +58,6 @@ __all__ = [
     "SimulateSpec",
     "SolutionStore",
     "SolveSpec",
-    "TRACE_HEADER",
     "ThreadedServer",
     "parse_simulate_spec",
     "parse_solve_spec",

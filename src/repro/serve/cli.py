@@ -3,7 +3,7 @@
 Examples::
 
     repro-serve --port 8642 --store-dir ~/.cache/repro-store
-    repro-serve --port 0 --port-file port.txt --jobs 4 &
+    repro-serve --port 0 --port-file port.txt &
     curl -s -X POST localhost:8642/solve -d '{"benchmark": "log", "n_max": 10}'
 
 ``--port 0`` binds an ephemeral port; ``--port-file`` writes the bound
@@ -56,12 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="store capacity in artifacts (LRU eviction beyond this)",
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=0,
-        help="solve-tier worker processes (<=1: solve in-process)",
-    )
-    parser.add_argument(
         "--batch-max",
         type=int,
         default=32,
@@ -81,22 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="Retry-After hint attached to 429 responses",
     )
     parser.add_argument(
-        "--prefetch",
-        action="store_true",
-        help=(
-            "warm the store predictively: on each store miss, solve "
-            "neighbor specs (adjacent n_max, observed sweep direction) "
-            "during idle time (needs --store-dir)"
-        ),
-    )
-    parser.add_argument(
-        "--prefetch-cap",
-        type=int,
-        default=64,
-        metavar="N",
-        help="bound on queued prefetch neighbor solves",
-    )
-    parser.add_argument(
         "--debug",
         action="store_true",
         help=(
@@ -111,56 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="how many recent request traces /debug/traces retains",
     )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        metavar="N",
-        help=(
-            "run an N-shard cluster (front router + N workers) instead of "
-            "a single server; delegates to repro-cluster with these flags"
-        ),
-    )
-    cluster = parser.add_argument_group(
-        "cluster worker (normally set by the supervisor, not by hand)"
-    )
-    cluster.add_argument(
-        "--shard-id",
-        type=int,
-        default=None,
-        metavar="I",
-        help="this worker's shard id in a cluster (enables /peer/*)",
-    )
-    cluster.add_argument(
-        "--cluster-map",
-        metavar="PATH",
-        default=None,
-        help="cluster map file listing peer shard addresses",
-    )
     return parser
-
-
-def _cluster_argv(args: argparse.Namespace) -> list:
-    """Translate ``repro-serve --shards N ...`` flags to repro-cluster's."""
-    argv = [
-        "--shards", str(args.shards),
-        "--host", args.host,
-        "--port", str(args.port),
-        "--store-max", str(args.store_max),
-        "--jobs", str(args.jobs),
-        "--batch-max", str(args.batch_max),
-        "--max-pending", str(args.max_pending),
-        "--retry-after", str(args.retry_after),
-    ]
-    if args.port_file:
-        argv += ["--port-file", args.port_file]
-    if args.store_dir:
-        argv += ["--store-root", args.store_dir]
-    if args.prefetch:
-        argv += ["--prefetch", "--prefetch-cap", str(args.prefetch_cap)]
-    if args.debug:
-        argv.append("--debug")
-    return argv
 
 
 async def _run(args: argparse.Namespace) -> int:
@@ -169,24 +98,18 @@ async def _run(args: argparse.Namespace) -> int:
         port=args.port,
         store_dir=args.store_dir,
         store_max_entries=args.store_max,
-        jobs=args.jobs,
         batch_max=args.batch_max,
         max_pending=args.max_pending,
         retry_after_s=args.retry_after,
         debug=args.debug,
         trace_buffer_size=args.trace_buffer,
-        prefetch=args.prefetch,
-        prefetch_cap=args.prefetch_cap,
-        shard_id=args.shard_id,
-        cluster_map=args.cluster_map,
     )
     await server.start()
     if args.port_file:
         Path(args.port_file).write_text(f"{server.port}\n")
-    store_note = f", store: {args.store_dir}" if args.store_dir else ""
+    store_note = f" (store: {args.store_dir})" if args.store_dir else ""
     print(
-        f"repro-serve listening on {server.host}:{server.port}"
-        f" (jobs={args.jobs}{store_note})",
+        f"repro-serve listening on {server.host}:{server.port}{store_note}",
         flush=True,
     )
 
@@ -213,10 +136,6 @@ async def _run(args: argparse.Namespace) -> int:
 def main_serve(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point for the ``repro-serve`` console script."""
     args = build_parser().parse_args(argv)
-    if args.shards > 0:
-        from ..cluster.cli import main_cluster
-
-        return main_cluster(_cluster_argv(args))
     try:
         return asyncio.run(_run(args))
     except KeyboardInterrupt:  # pragma: no cover - double ^C during shutdown

@@ -12,13 +12,11 @@ Partitioning solves are CPU-bound, so the intake path instead:
 2. **Micro-batches** — queued distinct jobs drain in batches (up to
    ``batch_max``) into one executor hop, so the event loop pays one
    thread handoff per batch, not per request.
-3. **Solves through the shared tier** — each batch runs through the DAG
-   scheduler (:func:`repro.sched.map_tasks`, digest-keyed): inline
-   in-process for ``jobs <= 1`` (default; shares the in-memory solve
-   cache and metrics registry with the server process), or on a bounded
-   process pool for ``jobs > 1`` (a crashed worker reschedules its task
-   once on a fresh pool).  ``REPRO_SCHED=0`` falls back to the flat
-   :func:`repro.eval.parallel.run_parallel` tier.
+3. **Solves inline** — each batch runs through the DAG scheduler
+   (:func:`repro.sched.map_tasks`, digest-keyed) in the server process,
+   on the batch's executor thread, so solves share the in-memory solve
+   cache and metrics registry with the server.  ``REPRO_SCHED=0`` falls
+   back to the flat :func:`repro.eval.parallel.run_parallel` tier.
 4. **Checks the store first** — a :class:`~repro.serve.store.SolutionStore`
    hit resolves the job without any solve and seeds the in-memory cache,
    which is what makes a warm restart serve its old working set with zero
@@ -42,7 +40,7 @@ import time
 from collections import OrderedDict
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Any, Callable, ContextManager, Dict, List, Optional, Tuple
+from typing import Any, ContextManager, Dict, List, Optional, Tuple
 
 from ..core import cache as solve_cache
 from ..core.solver import solve
@@ -63,7 +61,7 @@ BatchItem = Tuple[str, SolveSpec, Optional[str]]
 
 
 def _trace_ctx(trace_id: Optional[str]) -> "ContextManager[Any]":
-    """Re-enter a request's trace on a foreign thread/process, if any."""
+    """Re-enter a request's trace on an executor thread, if any."""
     return trace(trace_id) if trace_id is not None else nullcontext()
 
 
@@ -96,17 +94,13 @@ def _solve_outcome(spec: SolveSpec) -> Outcome:
 
 
 def _solve_task(item: BatchItem) -> Outcome:
-    """One canonical solve, as a picklable top-level task function.
-
-    Runs either in the server process (serial tier) or in a pool worker;
-    either way it returns only the canonical
+    """One canonical solve, returning only the canonical
     :class:`~repro.core.partition.PartitionSolution` — mappings are shape
-    arithmetic the requester rebuilds, and shipping them across a process
-    border would just serialize redundant state.
+    arithmetic the requester rebuilds.
 
-    The leader's trace id travels in the item payload (workers inherit no
-    ambient state), so a ``serve.solve`` span recorded here — in whichever
-    process — lands in the requesting trace's tree.
+    The leader's trace id travels in the item payload (the executor thread
+    inherits no ambient state), so a ``serve.solve`` span recorded here
+    lands in the requesting trace's tree.
     """
     digest, spec, trace_id = item
     if not obs_state.enabled():
@@ -133,30 +127,19 @@ def _store_lookup(
 def _execute_batch(
     batch: List[BatchItem],
     store: Optional[SolutionStore],
-    jobs: int,
     solve_delay_s: float,
-    on_miss: Optional[Callable[[SolveSpec], None]] = None,
-    peer_fetch: Optional[
-        Callable[[str, SolveSpec, Optional[str]], Optional[Any]]
-    ] = None,
-    on_stored: Optional[Callable[[str, SolveSpec], None]] = None,
 ) -> Dict[str, Outcome]:
     """Resolve one micro-batch of distinct jobs (runs on an executor thread).
 
-    Store hits short-circuit; in a cluster, local misses then try the
-    ``peer_fetch`` tier — a warm sibling shard returns the stored artifact
-    over HTTP, which lands in the local store byte-identically (content-
-    addressed replication-on-read) before solving is even considered.
-    The remainder solves through the scheduler's
-    :func:`~repro.sched.map_tasks` tier, keyed by canonical digest (the
+    Store hits short-circuit and seed the in-memory solve cache.  The
+    remainder solves inline through the scheduler's
+    :func:`~repro.sched.map_tasks`, keyed by canonical digest (the
     coalescer already deduplicates upstream, so the keys are belt-and-
-    braces against a caller that batches duplicates directly).  Fresh
-    solutions are persisted to the store, announced to ``on_stored`` (the
-    cluster's replicator, so a successor shard gets a copy), and seeded
-    into the in-memory solve cache so later requests hit without touching
-    disk.  Each item carries its leader's trace id, so store lookups,
-    peer fetches, and solves span into the right request tree even though
-    the batch serves many requests at once.
+    braces against a caller that batches duplicates directly); the solve
+    itself fills the in-memory cache, and fresh solutions are persisted to
+    the store.  Each item carries its leader's trace id, so store lookups
+    and solves span into the right request tree even though the batch
+    serves many requests at once.
     """
     if solve_delay_s > 0:
         time.sleep(solve_delay_s)
@@ -168,12 +151,6 @@ def _execute_batch(
             if store is not None
             else None
         )
-        if stored is None and peer_fetch is not None:
-            try:
-                stored = peer_fetch(digest, spec, trace_id)
-            except Exception:  # noqa: BLE001 - peers must never fail a batch
-                obs_registry().counter("cluster.peer.tier_errors").inc()
-                stored = None
         if stored is not None:
             if solve_cache.enabled():
                 solve_cache.cache().put(spec.canonical_cache_key(), stored)
@@ -181,40 +158,19 @@ def _execute_batch(
         else:
             to_solve.append((digest, spec, trace_id))
     if to_solve:
-        # jobs <= 1 (including the CLI's `--jobs 0` default) means the
-        # serial in-process tier; the scheduler spells that `jobs=None`.
         results = map_tasks(
             _solve_task,
             to_solve,
-            jobs=jobs if jobs > 1 else None,
             keys=[digest for digest, _spec, _tid in to_solve],
         )
         for (digest, spec, _trace_id), outcome in zip(to_solve, results):
             outcomes[digest] = outcome
-            if outcome[0] != "ok":
-                continue
-            solution = outcome[1]
-            if store is not None:
+            if outcome[0] == "ok" and store is not None:
                 store.put(
                     digest,
-                    solution,
+                    outcome[1],
                     meta={"pattern": spec.pattern.name, "m": spec.pattern.size},
                 )
-                if on_stored is not None:
-                    try:
-                        on_stored(digest, spec)
-                    except Exception:  # noqa: BLE001 - replication is best-effort
-                        obs_registry().counter("cluster.replicate.hook_errors").inc()
-            # In the process-pool tier the solve happened in a worker whose
-            # cache is invisible here; seed the server's own cache so the
-            # next identical request is an in-memory hit.
-            if jobs > 1 and solve_cache.enabled():
-                solve_cache.cache().put(spec.canonical_cache_key(), solution)
-            if on_miss is not None:
-                try:
-                    on_miss(spec)
-                except Exception:  # noqa: BLE001 - prefetch must never fail a batch
-                    obs_registry().counter("prefetch.observe_errors").inc()
     return outcomes
 
 
@@ -240,43 +196,26 @@ class Coalescer:
 
     Not thread-safe by design: :meth:`submit` must be called from the
     event loop that runs :meth:`run` (the store and solve tiers it drives
-    *are* thread/process safe).
+    *are* thread safe).
     """
 
     def __init__(
         self,
         store: Optional[SolutionStore] = None,
-        jobs: int = 0,
         batch_max: int = 32,
         max_pending: int = 256,
         retry_after_s: float = 1.0,
         solve_delay_s: float = 0.0,
-        on_miss: Optional[Callable[[SolveSpec], None]] = None,
-        peer_fetch: Optional[
-            Callable[[str, SolveSpec, Optional[str]], Optional[Any]]
-        ] = None,
-        on_stored: Optional[Callable[[str, SolveSpec], None]] = None,
     ) -> None:
         if batch_max < 1:
             raise ValueError(f"batch_max must be positive, got {batch_max}")
         if max_pending < 1:
             raise ValueError(f"max_pending must be positive, got {max_pending}")
         self.store = store
-        self.jobs = jobs
         self.batch_max = batch_max
         self.max_pending = max_pending
         self.retry_after_s = retry_after_s
         self.solve_delay_s = solve_delay_s
-        #: Called (on the executor thread) with each spec that required a
-        #: fresh solve — the predictive prefetcher's observation hook.
-        self.on_miss = on_miss
-        #: Cluster tier: called (digest, spec, trace_id) after a local
-        #: store miss, before solving; returns the canonical solution if a
-        #: sibling shard had the key warm, else None.
-        self.peer_fetch = peer_fetch
-        #: Cluster tier: called (digest, spec) after a fresh solve landed
-        #: in the local store — the replicator's enqueue hook.
-        self.on_stored = on_stored
         self._queued: "OrderedDict[str, _Job]" = OrderedDict()
         self._inflight: Dict[str, _Flight] = {}
         self._wake = asyncio.Event()
@@ -375,11 +314,7 @@ class Coalescer:
                         _execute_batch,
                         batch,
                         self.store,
-                        self.jobs,
                         self.solve_delay_s,
-                        self.on_miss,
-                        self.peer_fetch,
-                        self.on_stored,
                     )
                 except Exception as exc:  # noqa: BLE001 - keep the loop alive
                     outcomes = {

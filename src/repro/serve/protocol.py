@@ -52,7 +52,6 @@ ERROR_INFEASIBLE = "infeasible"
 ERROR_DEADLINE = "deadline_exceeded"
 ERROR_QUEUE_FULL = "queue_full"
 ERROR_SHUTTING_DOWN = "shutting_down"
-ERROR_NO_LIVE_SHARD = "no_live_shard"
 ERROR_INTERNAL = "internal"
 
 #: error code → HTTP status the server answers with.
@@ -63,14 +62,8 @@ HTTP_STATUS: Dict[str, int] = {
     ERROR_QUEUE_FULL: 429,
     ERROR_INTERNAL: 500,
     ERROR_SHUTTING_DOWN: 503,
-    ERROR_NO_LIVE_SHARD: 503,
     ERROR_DEADLINE: 504,
 }
-
-#: Request header carrying the originating trace id across process hops
-#: (client → cluster front → worker shard → peer shard), so the spans of
-#: one logical request reassemble into one tree no matter where they ran.
-TRACE_HEADER = "X-Repro-Trace"
 
 #: Simulation engines a request may name (mirrors ``sim.memsim.ENGINES``).
 SIM_ENGINES = ("auto", "scalar", "vectorized", "native")
@@ -90,7 +83,8 @@ def error_payload(code: str, message: str, **extra: Any) -> Dict[str, Any]:
 # -- request parsing --------------------------------------------------------
 
 
-def _require_mapping(doc: Any) -> Dict[str, Any]:
+def require_mapping(doc: Any) -> Dict[str, Any]:
+    """Return ``doc`` if it is a JSON object, else raise :class:`BadRequestError`."""
     if not isinstance(doc, dict):
         raise BadRequestError(f"request body must be a JSON object, got {type(doc).__name__}")
     return doc
@@ -231,7 +225,7 @@ class SimulateSpec:
 
 def parse_solve_spec(doc: Any) -> SolveSpec:
     """Validate a ``solve`` request body."""
-    doc = _require_mapping(doc)
+    doc = require_mapping(doc)
     pattern = parse_pattern(doc)
     shape = _parse_shape(doc, pattern.ndim)
     objective_raw = doc.get("objective", Objective.LATENCY.value)
@@ -254,7 +248,7 @@ def parse_solve_spec(doc: Any) -> SolveSpec:
 
 def parse_simulate_spec(doc: Any) -> SimulateSpec:
     """Validate a ``simulate`` request body (``shape`` is mandatory)."""
-    doc = _require_mapping(doc)
+    doc = require_mapping(doc)
     spec = parse_solve_spec(doc)
     if spec.shape is None:
         raise BadRequestError("simulate requires an array shape")

@@ -3,8 +3,7 @@
 One process, one event loop, one batch pipeline.  Connection handlers
 parse requests, enforce deadlines and backpressure, and await shared solve
 futures; all CPU-bound work (solves, simulations, Table 1) happens on
-executor threads — or pool workers when ``jobs > 1`` — so intake stays
-responsive under load.
+executor threads, so intake stays responsive under load.
 
 Endpoints
 ---------
@@ -35,8 +34,8 @@ Endpoints
 
 Tracing: with observability enabled every request is assigned a trace id
 (returned in the response payload as ``trace_id``).  The id travels with
-the work — through the coalescer into executor threads and pool workers —
-so the finished spans reassemble into one tree per request, retrievable
+the work — through the coalescer into executor threads — so the
+finished spans reassemble into one tree per request, retrievable
 from ``/debug/traces``.  Requests that coalesce onto another request's
 in-flight solve record a *link* to the leader's trace instead of
 duplicating its spans.
@@ -45,7 +44,11 @@ Deadlines: a request may carry ``timeout_ms``; past-deadline requests get
 ``504 deadline_exceeded`` — *the coalesced solve keeps running* (other
 waiters, or the store, still want the result), only this response is
 abandoned.  Backpressure: a full intake queue answers ``429 queue_full``
-with a ``Retry-After`` header instead of queueing unboundedly.
+with a ``Retry-After`` header instead of queueing unboundedly.  Malformed
+HTTP framing (a bad request line, a non-numeric or negative
+``Content-Length``, an over-long line) answers ``400 bad_request`` and a
+body over :data:`MAX_BODY_BYTES` answers ``413``; both close the
+connection.
 
 :func:`serve_in_thread` runs the whole server on a daemon thread for
 tests, benchmarks, and embedding in synchronous programs.
@@ -77,7 +80,6 @@ from .protocol import (
     ERROR_NOT_FOUND,
     ERROR_QUEUE_FULL,
     HTTP_STATUS,
-    TRACE_HEADER,
     BadRequestError,
     SimulateSpec,
     SolveSpec,
@@ -85,9 +87,9 @@ from .protocol import (
     parse_simulate_spec,
     parse_solve_spec,
     parse_timeout_s,
+    require_mapping,
     solution_payload,
 )
-from .prefetch import Prefetcher
 from .store import SolutionStore
 
 #: Largest accepted request body; patterns are small, this is generous.
@@ -130,61 +132,63 @@ class _HttpReply(Exception):
         self.headers = headers or {}
 
 
+def _framing_error(status: int, message: str) -> _HttpReply:
+    return _HttpReply(status, error_payload(ERROR_BAD_REQUEST, message))
+
+
 async def read_http_request(
     reader: asyncio.StreamReader,
 ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
     """Parse one HTTP/1.1 request off a stream; None at end of connection.
 
-    Shared by the worker server and the cluster front
-    (:mod:`repro.cluster.router`) — one wire parser, one set of limits.
-    Header names are lowercased.
+    Header names are lowercased.  Malformed framing raises
+    :class:`_HttpReply` (400, or 413 for an oversized body) so the
+    connection handler can answer before it closes the socket.
     """
-    line = await reader.readline()
-    if not line or line in (b"\r\n", b"\n"):
-        return None
     try:
-        method, target, _version = line.decode("ascii").split()
-    except ValueError:
-        raise asyncio.IncompleteReadError(line, None)
-    headers: Dict[str, str] = {}
-    while True:
-        raw = await reader.readline()
-        if raw in (b"\r\n", b"\n", b""):
-            break
-        key, _, value = raw.decode("latin-1").partition(":")
-        headers[key.strip().lower()] = value.strip()
-    length = int(headers.get("content-length", "0") or "0")
+        line = await reader.readline()
+        if not line or line in (b"\r\n", b"\n"):
+            return None
+        parts = line.split()
+        if len(parts) != 3 or not line.isascii():
+            raise _framing_error(400, f"malformed request line {line[:80]!r}")
+        headers: Dict[str, str] = {}
+        while True:
+            raw = await reader.readline()
+            if raw in (b"\r\n", b"\n", b""):
+                break
+            key, _, value = raw.decode("latin-1").partition(":")
+            headers[key.strip().lower()] = value.strip()
+    except ValueError:  # StreamReader.readline: a line outgrew its buffer limit
+        raise _framing_error(400, "request line or header too long")
+    raw_length = headers.get("content-length", "0") or "0"
+    # No real body needs 19 digits, and int() rejects huge digit strings.
+    if not (raw_length.isascii() and raw_length.isdigit() and len(raw_length) <= 18):
+        raise _framing_error(400, f"invalid Content-Length {raw_length[:40]!r}")
+    length = int(raw_length)
     if length > MAX_BODY_BYTES:
-        raise asyncio.LimitOverrunError("body too large", length)
+        raise _framing_error(
+            413, f"body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte limit"
+        )
     body = await reader.readexactly(length) if length else b""
+    method, target = parts[0].decode("ascii"), parts[1].decode("ascii")
     return method.upper(), target, headers, body
 
 
 def write_http_response(
     writer: asyncio.StreamWriter,
     status: int,
-    payload: Union[Dict[str, Any], str, bytes],
+    payload: Union[Dict[str, Any], str],
     extra_headers: Dict[str, str],
     keep_alive: bool,
-    content_type: Optional[str] = None,
-    counter_prefix: str = "serve",
 ) -> None:
-    """Serialize and queue one response; shared with the cluster front.
-
-    ``bytes`` payloads pass through verbatim (the router relays worker
-    response bodies without re-encoding them — byte-identity across
-    routing paths is a cluster invariant, so the front never re-serializes
-    a worker's JSON).
-    """
-    if isinstance(payload, bytes):
-        body = payload
-        content_type = content_type or "application/json"
-    elif isinstance(payload, str):
+    """Serialize and queue one response: a dict as JSON, a str as text."""
+    if isinstance(payload, str):
         body = payload.encode("utf-8")
-        content_type = content_type or "text/plain; version=0.0.4; charset=utf-8"
+        content_type = "text/plain; version=0.0.4; charset=utf-8"
     else:
         body = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
-        content_type = content_type or "application/json"
+        content_type = "application/json"
     head = [
         f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
         f"Content-Type: {content_type}",
@@ -193,7 +197,7 @@ def write_http_response(
     ]
     head.extend(f"{k}: {v}" for k, v in extra_headers.items())
     writer.write(("\r\n".join(head) + "\r\n\r\n").encode("ascii") + body)
-    obs_registry().counter(f"{counter_prefix}.http.{status}").inc()
+    obs_registry().counter(f"serve.http.{status}").inc()
 
 
 @dataclasses.dataclass
@@ -219,19 +223,12 @@ class PartitionServer:
         port: int = 0,
         store_dir: Optional[str] = None,
         store_max_entries: int = 4096,
-        jobs: int = 0,
         batch_max: int = 32,
         max_pending: int = 256,
         retry_after_s: float = 1.0,
         solve_delay_s: float = 0.0,
         debug: bool = False,
         trace_buffer_size: int = DEFAULT_TRACE_BUFFER,
-        prefetch: bool = False,
-        prefetch_cap: int = 64,
-        shard_id: Optional[int] = None,
-        cluster_map: Optional[str] = None,
-        peer_api: Optional[bool] = None,
-        replicate: bool = True,
     ) -> None:
         self.host = host
         self.port = port  # rebound to the real port after start()
@@ -240,28 +237,11 @@ class PartitionServer:
             if store_dir
             else None
         )
-        #: Cluster membership: this worker's shard id and the supervisor-
-        #: maintained map file naming every sibling.  The internal /peer/*
-        #: API defaults on exactly when the server is part of a cluster.
-        self.shard_id = shard_id
-        self.cluster_map = cluster_map
-        self.peer_api = (
-            peer_api
-            if peer_api is not None
-            else (shard_id is not None or cluster_map is not None)
-        )
-        self._replicate = replicate
-        self.peer_fetcher: Optional[Any] = None
-        self.replicator: Optional[Any] = None
-        self._prefetch_requested = prefetch
-        self._prefetch_cap = prefetch_cap
-        self.prefetcher: Optional[Prefetcher] = None
         # canonical digest -> distinct caller (translation-level) digests
         # seen for it; sizes > 1 mean the symmetry quotient is collapsing
         # reflected/permuted variants onto one solve.
         self._canon_groups: "OrderedDict[str, set]" = OrderedDict()
         self._coalescer_config = dict(
-            jobs=jobs,
             batch_max=batch_max,
             max_pending=max_pending,
             retry_after_s=retry_after_s,
@@ -279,35 +259,8 @@ class PartitionServer:
     # -- lifecycle ---------------------------------------------------------
 
     async def start(self) -> None:
-        """Bind the socket and start the batch pipeline (and prefetcher)."""
-        if self._prefetch_requested and self.store is not None:
-            # Late-bound: the coalescer is created just below; "idle" means
-            # no foreground jobs queued or in flight.
-            self.prefetcher = Prefetcher(
-                self.store,
-                idle=lambda: self.coalescer is None or self.coalescer.pending == 0,
-                cap=self._prefetch_cap,
-            )
-        if self.cluster_map is not None and self.shard_id is not None:
-            # The cluster tiers: read-through to warm peers, write-side
-            # replication to ring successors.  Imported lazily — the serve
-            # package must not depend on repro.cluster outside cluster mode.
-            from ..cluster.peers import PeerFetcher, PeerReplicator
-
-            self.peer_fetcher = PeerFetcher(
-                self.cluster_map, self.shard_id, store=self.store
-            )
-            if self._replicate and self.store is not None:
-                self.replicator = PeerReplicator(
-                    self.cluster_map, self.shard_id, store=self.store
-                )
-        self.coalescer = Coalescer(
-            store=self.store,
-            on_miss=self.prefetcher.observe if self.prefetcher else None,
-            peer_fetch=self.peer_fetcher,
-            on_stored=self.replicator.offer if self.replicator else None,
-            **self._coalescer_config,
-        )
+        """Bind the socket and start the batch pipeline."""
+        self.coalescer = Coalescer(store=self.store, **self._coalescer_config)
         self._batch_task = asyncio.get_running_loop().create_task(
             self.coalescer.run()
         )
@@ -323,7 +276,7 @@ class PartitionServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        # Idle keep-alive handlers are parked in _read_request; cancel them
+        # Idle keep-alive handlers are parked in read_http_request; cancel them
         # so no coroutine outlives the loop (a GC'd parked handler raises
         # "Event loop is closed" from its writer-close finally block).
         if self._conn_tasks:
@@ -340,15 +293,6 @@ class PartitionServer:
             self._batch_task = None
         if self.coalescer is not None:
             self.coalescer.close()
-        if self.prefetcher is not None:
-            self.prefetcher.close()
-            self.prefetcher = None
-        if self.replicator is not None:
-            self.replicator.close()
-            self.replicator = None
-        if self.peer_fetcher is not None:
-            self.peer_fetcher.close()
-            self.peer_fetcher = None
 
     async def serve_forever(self) -> None:
         """Run until cancelled (the CLI wires signals to cancellation)."""
@@ -366,23 +310,26 @@ class PartitionServer:
             task.add_done_callback(self._conn_tasks.discard)
         try:
             while True:
-                request = await self._read_request(reader)
+                try:
+                    request = await read_http_request(reader)
+                except _HttpReply as reply:
+                    # Malformed framing: the stream position is unknown, so
+                    # answer once and close instead of parsing on.
+                    write_http_response(
+                        writer, reply.status, reply.payload, reply.headers, False
+                    )
+                    await writer.drain()
+                    break
                 if request is None:
                     break
                 method, target, headers, body = request
                 keep_alive = headers.get("connection", "keep-alive") != "close"
-                status, payload, extra = await self._route(
-                    method, target, body, headers
-                )
-                self._write_response(writer, status, payload, extra, keep_alive)
+                status, payload, extra = await self._route(method, target, body)
+                write_http_response(writer, status, payload, extra, keep_alive)
                 await writer.drain()
                 if not keep_alive:
                     break
-        except (
-            asyncio.IncompleteReadError,
-            asyncio.LimitOverrunError,
-            ConnectionResetError,
-        ):
+        except (asyncio.IncompleteReadError, ConnectionResetError):
             pass  # client went away mid-request; nothing to answer
         except asyncio.CancelledError:
             pass  # server stopping while this connection idled
@@ -397,26 +344,10 @@ class PartitionServer:
             ):  # pragma: no cover
                 pass
 
-    async def _read_request(
-        self, reader: asyncio.StreamReader
-    ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
-        return await read_http_request(reader)
-
-    def _write_response(
-        self,
-        writer: asyncio.StreamWriter,
-        status: int,
-        payload: Union[Dict[str, Any], str],
-        extra_headers: Dict[str, str],
-        keep_alive: bool,
-    ) -> None:
-        write_http_response(writer, status, payload, extra_headers, keep_alive)
-
     # -- routing -----------------------------------------------------------
 
     async def _route(
-        self, method: str, target: str, body: bytes,
-        headers: Optional[Dict[str, str]] = None,
+        self, method: str, target: str, body: bytes
     ) -> Tuple[int, Union[Dict[str, Any], str], Dict[str, str]]:
         self._requests += 1
         registry = obs_registry()
@@ -424,16 +355,8 @@ class PartitionServer:
         started = time.monotonic()
         started_perf = time.perf_counter()
         path = target.split("?", 1)[0]
-        # A front-end router (or a peer worker) hands its trace id down in
-        # the X-Repro-Trace header; adopting it stitches the worker's spans
-        # into the originating request's tree instead of starting a new one.
-        incoming_trace = (headers or {}).get(TRACE_HEADER.lower()) or None
         ctx = _RequestContext(
-            trace_id=(
-                (incoming_trace or new_trace_id())
-                if obs_state.enabled()
-                else None
-            )
+            trace_id=new_trace_id() if obs_state.enabled() else None
         )
         status = 500
         try:
@@ -479,7 +402,7 @@ class PartitionServer:
         stack would mis-parent one request's spans under another's root.
         The trace id, not the stack, is what ties the tree together:
         :func:`build_trace_tree` adopts every parentless in-trace span
-        (executor threads, pool workers) under this root.
+        (executor threads) under this root.
         """
         tr = obs_tracer()
         tr.record(
@@ -501,8 +424,6 @@ class PartitionServer:
     def _resolve_handler(
         self, method: str, path: str
     ) -> Callable[[Any, "_RequestContext"], Awaitable[Union[Dict[str, Any], str]]]:
-        if path.startswith("/peer/"):
-            return self._resolve_peer_handler(method, path)
         routes: Dict[Tuple[str, str], Callable[[Any, Any], Awaitable[Any]]] = {
             ("POST", "/solve"): self._handle_solve,
             ("POST", "/simulate"): self._handle_simulate,
@@ -522,38 +443,6 @@ class PartitionServer:
                 )
             raise _HttpReply(404, error_payload(ERROR_NOT_FOUND, f"no route {path}"))
         return handler
-
-    def _resolve_peer_handler(
-        self, method: str, path: str
-    ) -> Callable[[Any, "_RequestContext"], Awaitable[Union[Dict[str, Any], str]]]:
-        """Route the internal /peer/* API (enabled only in cluster mode)."""
-        if not self.peer_api:
-            raise _HttpReply(
-                404,
-                error_payload(
-                    ERROR_NOT_FOUND,
-                    "peer API is disabled (workers enable it in cluster mode)",
-                ),
-            )
-        if path.startswith("/peer/solution/"):
-            digest = path[len("/peer/solution/"):]
-            if not digest or "/" in digest:
-                raise _HttpReply(
-                    404, error_payload(ERROR_NOT_FOUND, f"bad peer path {path}")
-                )
-            if method == "GET":
-                return lambda doc, ctx: self._handle_peer_get(digest, doc, ctx)
-            if method == "PUT":
-                return lambda doc, ctx: self._handle_peer_put(digest, doc, ctx)
-            raise _HttpReply(
-                405,
-                error_payload(ERROR_BAD_REQUEST, f"{method} not allowed on {path}"),
-            )
-        if (method, path) == ("GET", "/peer/digests"):
-            return self._handle_peer_digests
-        if (method, path) == ("GET", "/peer/registry"):
-            return self._handle_peer_registry
-        raise _HttpReply(404, error_payload(ERROR_NOT_FOUND, f"no route {path}"))
 
     @staticmethod
     def _parse_body(body: bytes) -> Any:
@@ -704,7 +593,7 @@ class PartitionServer:
         return payload
 
     async def _handle_table1(self, doc: Any, _ctx: _RequestContext) -> Dict[str, Any]:
-        doc = doc if isinstance(doc, dict) else {}
+        doc = require_mapping(doc)
         deadline = self._deadline_from(doc)
         from ..patterns.library import BENCHMARKS
 
@@ -758,16 +647,10 @@ class PartitionServer:
             "uptime_s": time.monotonic() - self._started_at,
             "requests": self._requests,
             "pending": self.coalescer.pending,
-            "jobs": self.coalescer.jobs,
             "batch_max": self.coalescer.batch_max,
             "max_pending": self.coalescer.max_pending,
             "debug": self.debug,
             "store": self.store.stats() if self.store is not None else None,
-            "prefetch": (
-                self.prefetcher.stats() if self.prefetcher is not None else None
-            ),
-            "shard": self.shard_id,
-            "peer_api": self.peer_api,
         }
 
     async def _handle_metrics(self, _doc: Any, _ctx: _RequestContext) -> str:
@@ -791,21 +674,6 @@ class PartitionServer:
         registry.gauge("serve.solve_cache.evictions").set(mem.evictions)
         registry.gauge("serve.solve_cache.entries").set(len(mem))
         registry.gauge("serve.solve_cache.maxsize").set(mem.maxsize)
-        # Materialize the prefetch counter family even when it is all-zero
-        # so dashboards see the metrics exist as soon as prefetch is on.
-        if self.prefetcher is not None:
-            for name in (
-                "enqueued",
-                "dropped",
-                "skipped",
-                "solved",
-                "stored",
-                "errors",
-            ):
-                registry.counter(f"prefetch.{name}").inc(0)
-            registry.gauge("prefetch.queued").set(
-                self.prefetcher.stats()["queued"]
-            )
         return to_prometheus_text()
 
     # -- debug surface (off unless debug=True) -----------------------------
@@ -840,9 +708,6 @@ class PartitionServer:
         }
         return {
             "store": self.store.stats() if self.store is not None else None,
-            "prefetch": (
-                self.prefetcher.stats() if self.prefetcher is not None else None
-            ),
             # How many distinct caller-frame request identities each
             # canonical solve is serving: >1 means symmetry collapse.
             "canonical_groups": {
@@ -852,70 +717,6 @@ class PartitionServer:
                 "sizes": {d[:12]: v for d, v in sizes.items()},
             },
         }
-
-    # -- the peer API (cluster-internal; peer_api=True only) ---------------
-
-    def _require_store(self) -> SolutionStore:
-        if self.store is None:
-            raise _HttpReply(
-                404,
-                error_payload(ERROR_NOT_FOUND, "this worker has no solution store"),
-            )
-        return self.store
-
-    async def _handle_peer_get(
-        self, digest: str, _doc: Any, _ctx: _RequestContext
-    ) -> Dict[str, Any]:
-        """Serve a store artifact to a sibling shard, verbatim.
-
-        The response body is the artifact document itself, so the caller
-        can persist it byte-identically — content-addressed replication
-        needs no separate wire format.
-        """
-        document = self._require_store().get_document(digest)
-        if document is None:
-            raise _HttpReply(
-                404,
-                error_payload(ERROR_NOT_FOUND, f"no artifact for {digest[:12]}"),
-            )
-        obs_registry().counter("cluster.peer.served").inc()
-        return document
-
-    async def _handle_peer_put(
-        self, digest: str, doc: Any, _ctx: _RequestContext
-    ) -> Dict[str, Any]:
-        """Accept a replicated artifact from a sibling shard."""
-        store = self._require_store()
-        if not isinstance(doc, dict):
-            raise BadRequestError("replication body must be an artifact document")
-        try:
-            store.put_document(digest, doc)
-        except Exception as exc:  # noqa: BLE001 - malformed peer payloads are 400s
-            raise BadRequestError(f"invalid artifact for {digest[:12]}: {exc}")
-        obs_registry().counter("cluster.peer.received").inc()
-        return {"stored": digest, "entries": len(store)}
-
-    async def _handle_peer_digests(
-        self, _doc: Any, _ctx: _RequestContext
-    ) -> Dict[str, Any]:
-        """Every digest this shard holds — the backfill scan surface."""
-        store = self._require_store()
-        return {"shard": self.shard_id, "digests": store.digests()}
-
-    async def _handle_peer_registry(
-        self, _doc: Any, _ctx: _RequestContext
-    ) -> Dict[str, Any]:
-        """This worker's metrics registry as a mergeable dump.
-
-        The cluster front pulls one of these per shard and merges them
-        (namespaced ``worker.<shard>.*``) into its aggregated ``/metrics``.
-        Store gauges are refreshed first so occupancy is current even if
-        ``/metrics`` was never polled on this worker.
-        """
-        if self.store is not None:
-            self.store._publish_gauges()
-        worker_id = None if self.shard_id is None else str(self.shard_id)
-        return obs_registry().dump(worker_id=worker_id)
 
 
 class ThreadedServer:

@@ -26,7 +26,8 @@ Properties the server relies on:
   as a miss; the server then just re-solves.
 
 Hits, misses, writes, and evictions are mirrored into the metrics registry
-under ``serve.store.*``.
+under ``serve.store.*`` counters; the server's ``/metrics`` handler sets
+the occupancy gauges from :meth:`SolutionStore.stats` when it is polled.
 """
 
 from __future__ import annotations
@@ -84,20 +85,6 @@ class SolutionStore:
                 self._sizes[path.stem] = path.stat().st_size
             except OSError:  # pragma: no cover - racing deleters
                 self._sizes[path.stem] = 0
-        self._publish_gauges()
-
-    def _publish_gauges(self) -> None:
-        """Mirror occupancy into gauges on every mutation, not just when
-        ``/metrics`` polls: a cluster front pulls worker registries as
-        dumps, and only mutation-time gauges make per-shard entry/byte
-        counts (the rebalancing signal) visible through that path."""
-        with self._lock:
-            entries = len(self._index)
-            size = sum(self._sizes.values())
-        registry = obs_registry()
-        registry.gauge("serve.store.entries").set(entries)
-        registry.gauge("serve.store.bytes").set(size)
-        registry.gauge("serve.store.max_entries").set(self.max_entries)
 
     def __len__(self) -> int:
         with self._lock:
@@ -153,51 +140,6 @@ class SolutionStore:
                 (time.perf_counter() - started) * 1000.0
             )
 
-    def get_document(self, digest: str) -> Optional[Dict[str, Any]]:
-        """The raw artifact document under ``digest``, or ``None``.
-
-        The peer-fetch tier's read path: it hands back exactly what the
-        file holds (validated — a corrupt artifact is discarded and reads
-        as absent) without touching the hit/miss tallies, so serving a
-        peer does not skew this shard's own hit-rate.  The LRU position
-        *does* advance: a key a peer wants is a key the cluster is using.
-        """
-        with self._lock:
-            path = self._index.get(digest)
-        if path is None:
-            return None
-        try:
-            payload = json.loads(path.read_text())
-            self._validate(digest, payload)
-        except (OSError, ValueError, SerializationError):
-            self._discard(digest, path)
-            return None
-        with self._lock:
-            if digest in self._index:
-                self._index.move_to_end(digest)
-        try:
-            os.utime(path)
-        except OSError:  # pragma: no cover - mtime refresh is best-effort
-            pass
-        obs_registry().counter("serve.store.doc_reads").inc()
-        return payload
-
-    def put_document(self, digest: str, document: Dict[str, Any]) -> Path:
-        """Store an artifact document fetched from a peer, byte-identically.
-
-        Validates first (a malicious or torn peer answer must not poison
-        the store), then routes through :meth:`put` — both ends serialize
-        with ``json.dumps(..., indent=2, sort_keys=True)``, so the bytes
-        this writes equal the bytes the peer holds; content-addressing
-        keeps re-replication and backfill idempotent.
-        """
-        solution = self._validate(digest, document)
-        meta = document.get("meta")
-        if not isinstance(meta, dict):
-            meta = {}
-        obs_registry().counter("serve.store.doc_writes").inc()
-        return self.put(digest, solution, meta=meta)
-
     def _validate(self, digest: str, payload: Any) -> PartitionSolution:
         if not isinstance(payload, dict) or payload.get("format") != _FORMAT:
             raise SerializationError(f"not a {_FORMAT} artifact")
@@ -218,7 +160,6 @@ class SolutionStore:
             path.unlink()
         except OSError:  # pragma: no cover - racing deleters are fine
             pass
-        self._publish_gauges()
 
     # -- insertion ---------------------------------------------------------
 
@@ -269,7 +210,6 @@ class SolutionStore:
         registry.counter("serve.store.writes").inc()
         if evicted:
             registry.counter("serve.store.evictions").inc(len(evicted))
-        self._publish_gauges()
         return path
 
     # -- reporting ---------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import importlib
 import json
+import socket
 import threading
 import time
 
@@ -33,6 +34,7 @@ from repro.serve import (
     serve_in_thread,
 )
 from repro.serve.protocol import request_payload
+from repro.serve.server import MAX_BODY_BYTES
 
 
 @pytest.fixture()
@@ -209,6 +211,46 @@ class TestSolveEndpoint:
         assert status == 404
         status, _, _ = client._request("GET", "/solve")
         assert status == 405
+        for method, path in (("GET", "/peer/digests"), ("PUT", "/peer/solution/ab")):
+            status, _, _ = client._request(method, path)
+            assert status == 404
+
+
+class TestHttpFraming:
+    @pytest.mark.parametrize(
+        "raw, status",
+        [
+            (b"POST /solve HTTP/1.1\r\nContent-Length: abc\r\n\r\n", 400),
+            (b"POST /solve HTTP/1.1\r\nContent-Length: -5\r\n\r\n", 400),
+            (b"POST /solve HTTP/1.1\r\nContent-Length: " + b"9" * 5000 + b"\r\n\r\n", 400),
+            (
+                b"POST /solve HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+                % (MAX_BODY_BYTES + 1),
+                413,
+            ),
+            (b"GARBAGE\r\n\r\n", 400),
+        ],
+        ids=[
+            "non-numeric-length",
+            "negative-length",
+            "5000-digit-length",
+            "oversized-body",
+            "bad-request-line",
+        ],
+    )
+    def test_malformed_framing_is_answered_then_closed(self, server, raw, status):
+        with socket.create_connection(("127.0.0.1", server.port), timeout=10) as sock:
+            sock.sendall(raw)
+            reply = b""
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 %d " % status), reply
+        assert b"Connection: close" in head.split(b"\r\n")
+        assert json.loads(body)["error"]["code"] == "bad_request"
 
 
 class TestDeadlines:
@@ -325,6 +367,13 @@ class TestTable1Endpoint:
             client.table1(benchmarks=["nope"])
         assert info.value.http_status == 400
 
+    @pytest.mark.parametrize("body", [[], 3])
+    def test_non_object_body_is_400(self, client, body):
+        with pytest.raises(ServeError) as info:
+            client._json("POST", "/table1", body)
+        assert info.value.http_status == 400
+        assert info.value.code == "bad_request"
+
 
 class TestIntrospection:
     def test_healthz_shape(self, client):
@@ -363,10 +412,125 @@ class TestServeCli:
 
         args = build_parser().parse_args([])
         assert args.port == 8642
-        assert args.jobs == 0
         assert args.store_dir is None
 
     def test_entry_point_registered(self):
         import repro.serve.cli as cli
 
         assert callable(cli.main_serve)
+
+
+class _ScriptedHTTP:
+    """A socket server answering one canned HTTP response per connection."""
+
+    def __init__(self, responses):
+        self.responses = list(responses)
+        self.hits = 0
+        self._sock = socket.socket()
+        self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        self._sock.bind(("127.0.0.1", 0))
+        self._sock.listen(8)
+        self.port = self._sock.getsockname()[1]
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self):
+        while self.hits < len(self.responses):
+            try:
+                conn, _ = self._sock.accept()
+            except OSError:
+                return
+            with conn:
+                try:
+                    conn.recv(65536)
+                    conn.sendall(self.responses[self.hits])
+                except OSError:
+                    pass
+                self.hits += 1
+
+    def close(self):
+        self._sock.close()
+
+    def settled_hits(self, expect: int, timeout_s: float = 2.0) -> int:
+        """hits, waiting briefly — the serve thread tallies after sendall."""
+        deadline = time.monotonic() + timeout_s
+        while self.hits < expect and time.monotonic() < deadline:
+            time.sleep(0.005)
+        return self.hits
+
+
+def _http(status: str, body: dict, extra_headers: str = "") -> bytes:
+    payload = json.dumps(body).encode()
+    return (
+        f"HTTP/1.1 {status}\r\nContent-Type: application/json\r\n"
+        f"Content-Length: {len(payload)}\r\n{extra_headers}"
+        "Connection: close\r\n\r\n"
+    ).encode() + payload
+
+
+class TestClientRetries:
+    def test_retries_429_honoring_retry_after(self):
+        busy = _http(
+            "429 Too Many Requests",
+            {"error": {"code": "queue_full", "message": "try later",
+                       "retry_after_s": 0.01}},
+            "Retry-After: 0.01\r\n",
+        )
+        ok = _http("200 OK", {"status": "ok"})
+        server = _ScriptedHTTP([busy, busy, ok])
+        try:
+            with ServeClient(port=server.port, retries=3, backoff_s=0.01) as client:
+                started = time.perf_counter()
+                assert client.healthz() == {"status": "ok"}
+                elapsed = time.perf_counter() - started
+        finally:
+            server.close()
+        assert server.settled_hits(3) == 3
+        assert elapsed < 5.0  # hints kept the backoff tiny
+
+    def test_retries_zero_fails_fast(self):
+        busy = _http(
+            "429 Too Many Requests", {"error": {"code": "queue_full", "message": "no"}}
+        )
+        server = _ScriptedHTTP([busy, busy])
+        try:
+            with ServeClient(port=server.port) as client:  # retries=0 default
+                with pytest.raises(ServerBusyError):
+                    client.healthz()
+        finally:
+            server.close()
+        assert server.settled_hits(1) == 1
+
+    def test_exhausted_retries_surface_the_final_429(self):
+        busy = _http(
+            "429 Too Many Requests", {"error": {"code": "queue_full", "message": "no"}}
+        )
+        server = _ScriptedHTTP([busy] * 3)
+        try:
+            with ServeClient(port=server.port, retries=2, backoff_s=0.005) as client:
+                with pytest.raises(ServerBusyError):
+                    client.healthz()
+        finally:
+            server.close()
+        assert server.settled_hits(3) == 3  # initial try + 2 retries
+
+    def test_non_retryable_errors_never_retry(self):
+        bad = _http(
+            "400 Bad Request",
+            {"error": {"code": "bad_request", "message": "nope"}},
+        )
+        server = _ScriptedHTTP([bad, bad])
+        try:
+            with ServeClient(port=server.port, retries=5, backoff_s=0.005) as client:
+                with pytest.raises(ServeError) as err:
+                    client.healthz()
+        finally:
+            server.close()
+        assert err.value.http_status == 400
+        assert server.settled_hits(1) == 1
+
+    def test_invalid_retry_configuration_rejected(self):
+        with pytest.raises(ValueError):
+            ServeClient(retries=-1)
+        with pytest.raises(ValueError):
+            ServeClient(retries=1, backoff_s=-0.1)

@@ -89,51 +89,6 @@ class TestEndToEndTrace:
         solve_node = _walk_to(root, "serve.solve")
         assert _walk_to(solve_node, "solve.solve") is not None
 
-    @pytest.mark.slow
-    def test_pool_worker_spans_merge_into_the_request_tree(
-        self, telemetry, tmp_path
-    ):
-        # A one-job batch runs serially in the batch thread (resolve_jobs
-        # clamps to the workload), so engaging the pool needs >= 2 distinct
-        # specs in one batch: the per-batch solve delay holds the loop busy
-        # while the concurrent requests queue up behind the first.
-        with serve_in_thread(
-            store_dir=str(tmp_path / "s"),
-            jobs=2,
-            solve_delay_s=0.4,
-            debug=True,
-        ) as srv:
-            barrier = threading.Barrier(3)
-            docs = [None] * 3
-
-            def request(i):
-                with ServeClient(port=srv.port) as c:
-                    barrier.wait(timeout=10.0)
-                    docs[i] = c.solve(benchmark="se", n_max=4 + i)
-
-            threads = [
-                threading.Thread(target=request, args=(i,)) for i in range(3)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30.0)
-            assert all(doc is not None for doc in docs)
-            with ServeClient(port=srv.port) as client:
-                trees = [_find_tree(client, doc["trace_id"]) for doc in docs]
-        pooled = []
-        for tree in trees:
-            (root,) = tree["roots"]
-            solve_node = _walk_to(root, "serve.solve")
-            assert solve_node is not None, set(_span_names(root))
-            assert _walk_to(solve_node, "solve.solve") is not None
-            if "worker_id" in solve_node["attrs"]:
-                pooled.append(solve_node)
-        # at least the coalesced pair ran on the pool; provenance survives
-        assert pooled, "no solve span carries pool-worker provenance"
-        for solve_node in pooled:
-            assert solve_node["attrs"]["worker_id"].startswith("pid")
-
     def test_response_has_no_trace_id_when_obs_disabled(self, tmp_path):
         obs.disable()
         with serve_in_thread(store_dir=str(tmp_path / "s"), debug=True) as srv:
