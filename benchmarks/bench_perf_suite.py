@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import platform
 import random
 import sys
@@ -42,10 +41,9 @@ from repro import native as repro_native
 from repro.core import OpCounter, partition, same_size_sweep, solve, solve_cache
 from repro.core.mapping import BankMapping
 from repro.core.pattern import Pattern
-from repro.eval.parallel import run_parallel
 from repro.patterns.generators import rectangle, unrolled
 from repro.patterns.library import gaussian_pattern, log_pattern, median_pattern
-from repro.sched import Task, run_stream
+from repro.sched import Task, map_tasks, run_stream
 from repro.sim import simulate_sweep
 
 #: (name, pattern factory, simulation shape) per preset.  ``micro`` exists
@@ -329,7 +327,7 @@ def _dag_cell_row(cell, shared: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def _dag_flat_cell(cell) -> Dict[str, Any]:
-    """Flat-pool task: every cell re-derives the full solve + simulation."""
+    """Flat-map task: every cell re-derives the full solve + simulation."""
     base_name, factory_name, translation, n_max, shape = cell
     shared = _dag_shared_solve(base_name, factory_name, n_max, shape)
     return _dag_cell_row(cell, shared)
@@ -357,7 +355,8 @@ def _dag_grid_cells(grid: Dict[str, Any]) -> List[_DagCell]:
 
 
 def _run_dag_flat(cells, jobs) -> List[Dict[str, Any]]:
-    return run_parallel(_dag_flat_cell, cells, jobs=jobs)
+    """The flat arm: one task per cell and no keys, hence no dedup."""
+    return map_tasks(_dag_flat_cell, cells, jobs=jobs)
 
 
 def _run_dag_sched(cells, jobs) -> Any:
@@ -408,11 +407,11 @@ def _run_dag_sched(cells, jobs) -> Any:
 
 
 def _bench_dag(preset: str, repeat: int) -> List[Dict[str, Any]]:
-    """Flat pool vs DAG scheduler on a sweep grid with shared patterns.
+    """Flat map vs keyed DAG on a sweep grid with shared patterns.
 
     Both phases run the identical grid with the solve memo disabled, so
-    ``solver invocations`` counts real solver executions: the flat pool
-    pays one per cell, the scheduler one per distinct canonical digest.
+    ``solver invocations`` counts real solver executions: the flat map
+    pays one per cell, the keyed DAG one per distinct canonical digest.
     Rows must come back bit-identical — the scheduler is a wall-clock and
     work-count optimization, never a semantics change.
     """
@@ -580,25 +579,28 @@ def _zipf_traffic(
 
 def _zipf_phase(
     workload: str,
-    mode: str,
     traffic: List[Any],
     n_max: int,
     store_dir: str,
     reference: Optional[List[Dict[str, Any]]] = None,
 ) -> Dict[str, Any]:
-    """One server lifetime replaying ``traffic`` under canonical mode ``mode``.
+    """One server lifetime replaying ``traffic``.
 
     Every request carries the bank ceiling ``n_max``.  Every response is
-    checked bit-identical against an in-process cold solve with the same
-    mode; when ``reference`` responses are given (the warm-restart phase)
-    the response stream must also match them element-for-element.
+    checked bit-identical against an in-process cold solve; when
+    ``reference`` responses are given (the warm-restart phase) the response
+    stream must also match them element-for-element.  ``translation_keys``
+    counts the distinct translation-normalized specs
+    (:meth:`~repro.serve.protocol.SolveSpec.digest`) in the traffic: the
+    solves a translation-only cache would need, where the symmetry
+    quotient needs ``cold_solves``.
     """
+    from repro.core.solver import Objective
     from repro.io import solution_to_dict
     from repro.serve import ServeClient, serve_in_thread
+    from repro.serve.protocol import SolveSpec
 
-    previous_mode = os.environ.get("REPRO_SOLVE_CANON")
-    os.environ["REPRO_SOLVE_CANON"] = mode
-    solve_cache.reset()  # fresh memo under the new canonicalization mode
+    solve_cache.clear()  # only the store may carry answers between phases
     try:
         latencies: List[float] = []
         responses: List[Dict[str, Any]] = []
@@ -616,28 +618,32 @@ def _zipf_phase(
         entries_after = health["store"]["entries"]
 
         # Bit-identity: every response equals a fresh in-process solve of
-        # the requester's own pattern under the same canonical mode.
+        # the requester's own pattern.
         expected_memo: Dict[Any, Dict[str, Any]] = {}
         identical = True
         for (pattern, shape), got in zip(requested, responses):
             memo_key = (pattern.offsets, shape)
             if memo_key not in expected_memo:
                 expected_memo[memo_key] = solution_to_dict(
-                    solve(
-                        pattern, shape, n_max=n_max, cache=False, canon=mode
-                    ).solution
+                    solve(pattern, shape, n_max=n_max, cache=False).solution
                 )
             if got != expected_memo[memo_key]:
                 identical = False
         if reference is not None and responses != reference:
             identical = False
 
+        translation_keys = len(
+            {
+                SolveSpec(pattern, shape, n_max, Objective.LATENCY, 0).digest()
+                for pattern, shape in requested
+            }
+        )
         cold_solves = max(0, entries_after - entries_before)
         row: Dict[str, Any] = {
             "workload": workload,
-            "mode": mode,
             "requests": len(traffic),
             "distinct_variants": len({t[0] for t in traffic}),
+            "translation_keys": translation_keys,
             "cold_solves": cold_solves,
             "canonical_hit_rate": 1.0 - cold_solves / len(traffic) if traffic else 0.0,
             "p50_ms": _percentile_ms(latencies, 0.50),
@@ -648,21 +654,17 @@ def _zipf_phase(
         row["_responses"] = responses  # stripped before the document is written
         return row
     finally:
-        if previous_mode is None:
-            os.environ.pop("REPRO_SOLVE_CANON", None)
-        else:
-            os.environ["REPRO_SOLVE_CANON"] = previous_mode
-        solve_cache.reset()
+        solve_cache.clear()
 
 
 def _bench_zipf(preset: str) -> List[Dict[str, Any]]:
-    """Zipf warm traffic: translation-only vs the full symmetry quotient.
+    """Zipf warm traffic through the symmetry-canonical cache and store.
 
-    Three phases over one seeded request sequence: (1) translation-only
-    canonicalization on a cold store, (2) the symmetry quotient on a cold
-    store — the canonical-hit-rate / cold-solve collapse the cache exists
-    for, and (3) the same store after a server restart (every answer from
-    disk).
+    Two phases over one seeded request sequence: (1) a cold store — the
+    canonical-hit-rate / cold-solve collapse the cache exists for, set
+    against ``translation_keys``, the cold solves a translation-only cache
+    would pay — and (2) the same store after a server restart (every
+    answer from disk).
     """
     import tempfile
 
@@ -672,25 +674,17 @@ def _bench_zipf(preset: str) -> List[Dict[str, Any]]:
     n_max = config["n_max"]
 
     rows: List[Dict[str, Any]] = []
-    with tempfile.TemporaryDirectory(prefix="repro-zipf-") as root:
-        trans_dir = os.path.join(root, "translation")
-        sym_dir = os.path.join(root, "symmetry")
-        rows.append(
-            _zipf_phase(
-                f"zipf_{preset}_translation", "translation", traffic, n_max, trans_dir
-            )
-        )
+    with tempfile.TemporaryDirectory(prefix="repro-zipf-") as store_dir:
         cold = _zipf_phase(
-            f"zipf_{preset}_symmetry_cold", "symmetry", traffic, n_max, sym_dir
+            f"zipf_{preset}_symmetry_cold", traffic, n_max, store_dir
         )
         rows.append(cold)
         rows.append(
             _zipf_phase(
                 f"zipf_{preset}_symmetry_warm",
-                "symmetry",
                 traffic,
                 n_max,
-                sym_dir,
+                store_dir,
                 reference=cold["_responses"],
             )
         )
@@ -828,7 +822,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(
             f"zipf {row['workload']}: {row['requests']} reqs over "
             f"{row['distinct_variants']} variants, cold solves "
-            f"{row['cold_solves']} (hit rate {row['canonical_hit_rate']:.2f}), "
+            f"{row['cold_solves']} vs {row['translation_keys']} translation keys "
+            f"(hit rate {row['canonical_hit_rate']:.2f}), "
             f"p50 {row['p50_ms']:.2f}ms, p99 {row['p99_ms']:.2f}ms, "
             f"identical={row['responses_identical']}"
         )

@@ -32,16 +32,15 @@ Two search engines share the loop over bank counts:
   the same ``vectors_tried``/``candidates_tried``, and charges the same
   :class:`~repro.core.opcount.OpCounter` operations — the op model counts
   the mathematical work, not the execution strategy (the
-  ``same_size_sweep`` precedent).  Block size is bounded by the
-  ``REPRO_LTB_CHUNK`` budget (falling back to the bulk default), so peak
-  memory stays ~``chunk × 8`` bytes however large ``N^n`` grows.
+  ``same_size_sweep`` precedent).  Block size is bounded by a residue-cell
+  budget (the bulk default unless ``chunk=`` overrides it), so peak memory
+  stays ~``chunk × 8`` bytes however large ``N^n`` grows.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Tuple
 
@@ -87,21 +86,14 @@ class LTBResult:
 def ltb_chunk_budget(chunk: int | None = None) -> int:
     """Resolve the residue-matrix cell budget per vectorized block.
 
-    Explicit argument > ``REPRO_LTB_CHUNK`` environment variable > the bulk
-    default (:func:`repro.core.vectorized.chunk_budget`, itself overridable
-    via ``REPRO_BULK_CHUNK``).  The budget counts residue cells, so a block
-    holds ``max(1, budget // m)`` candidate vectors.
+    Explicit argument > the bulk default
+    (:func:`repro.core.vectorized.chunk_budget`).  The budget counts residue
+    cells, so a block holds ``max(1, budget // m)`` candidate vectors.
     """
     if chunk is not None:
         if chunk < 1:
             raise ValueError(f"chunk budget must be positive, got {chunk}")
         return chunk
-    env = os.environ.get("REPRO_LTB_CHUNK", "").strip()
-    if env:
-        value = int(env)
-        if value < 1:
-            raise ValueError(f"REPRO_LTB_CHUNK must be positive, got {value}")
-        return value
     return chunk_budget()
 
 
@@ -332,8 +324,8 @@ def ltb_partition(
         across all engines — property-tested in
         ``tests/test_ltb_vectorized.py``.
     chunk:
-        Optional residue-cell budget per vectorized block (overrides
-        ``REPRO_LTB_CHUNK``); ignored by the scalar and native engines
+        Optional residue-cell budget per vectorized block (overrides the
+        bulk default); ignored by the scalar and native engines
         (the native scan streams candidates without materializing blocks).
 
     Raises

@@ -40,11 +40,9 @@ the paper's hardware-cost comparison.
 
 Hits and misses are mirrored into the :mod:`repro.obs` metrics registry as
 ``solve.cache.hits`` / ``solve.cache.misses``; LRU drops count into
-``solve.cache.evictions`` (all visible via ``--emit-metrics``).  Knobs:
-per call ``solve(..., cache=False)``, globally ``REPRO_SOLVE_CACHE=0``,
-capacity via ``REPRO_SOLVE_CACHE_SIZE`` (must be >= 1), and symmetry
-canonicalization via ``REPRO_SOLVE_CANON=translation`` to fall back to the
-translation-only quotient.
+``solve.cache.evictions`` (all visible via ``--emit-metrics``).  The one
+knob is per call: ``solve(..., cache=False)`` forces a fresh solve.  The
+process-wide cache holds :data:`DEFAULT_MAXSIZE` solutions.
 """
 
 from __future__ import annotations
@@ -53,7 +51,6 @@ import dataclasses
 import hashlib
 import itertools
 import json
-import os
 import threading
 from collections import OrderedDict
 from typing import Any, Hashable, Optional, Sequence, Tuple
@@ -63,8 +60,6 @@ from .partition import PartitionSolution
 from .pattern import Pattern
 from .transform import LinearTransform
 
-_FALSY = ("", "0", "false", "no", "off")
-
 #: Default number of cached solutions; old entries evict LRU-first.
 DEFAULT_MAXSIZE = 1024
 
@@ -72,58 +67,6 @@ DEFAULT_MAXSIZE = 1024
 #: ``(n-1)! · 2^n`` candidates per pattern; past 4-D the quotient falls
 #: back to translation-only rather than pay a factorial blowup.
 MAX_SYMMETRY_NDIM = 4
-
-#: ``REPRO_SOLVE_CANON`` values selecting the translation-only quotient.
-_TRANSLATION_MODES = ("translation", "none", "off", "0")
-
-
-def enabled() -> bool:
-    """Whether the process-wide cache is on (``REPRO_SOLVE_CACHE``, default on).
-
-    Read from the environment on every call so tests and CLI wrappers can
-    flip it without touching module state.
-    """
-    return os.environ.get("REPRO_SOLVE_CACHE", "1").strip().lower() not in _FALSY
-
-
-def canon_mode() -> str:
-    """The active canonicalization mode: ``"symmetry"`` or ``"translation"``.
-
-    ``REPRO_SOLVE_CANON`` selects it (default ``symmetry``); read from the
-    environment per call, like :func:`enabled`, so benches and tests can
-    flip modes without touching module state.
-    """
-    raw = os.environ.get("REPRO_SOLVE_CANON", "symmetry").strip().lower()
-    if raw in _TRANSLATION_MODES:
-        return "translation"
-    if raw in ("symmetry", "full", "1", "on"):
-        return "symmetry"
-    raise ValueError(
-        f"REPRO_SOLVE_CANON must be 'symmetry' or 'translation', got {raw!r}"
-    )
-
-
-def configured_maxsize() -> int:
-    """Cache capacity from ``REPRO_SOLVE_CACHE_SIZE`` (default 1024).
-
-    Raises :class:`ValueError` for non-integer or < 1 values — a silently
-    clamped capacity would make eviction behaviour impossible to reason
-    about in tests.
-    """
-    raw = os.environ.get("REPRO_SOLVE_CACHE_SIZE", "").strip()
-    if not raw:
-        return DEFAULT_MAXSIZE
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_SOLVE_CACHE_SIZE must be an integer >= 1, got {raw!r}"
-        ) from None
-    if value < 1:
-        raise ValueError(
-            f"REPRO_SOLVE_CACHE_SIZE must be an integer >= 1, got {value}"
-        )
-    return value
 
 
 class SolveCache:
@@ -182,35 +125,17 @@ class SolveCache:
             self.evictions = 0
 
 
-_cache: Optional[SolveCache] = None
-_cache_lock = threading.Lock()
+_cache = SolveCache()
 
 
 def cache() -> SolveCache:
-    """The process-wide cache instance (sized by ``REPRO_SOLVE_CACHE_SIZE``)."""
-    global _cache
-    if _cache is None:
-        with _cache_lock:
-            if _cache is None:
-                _cache = SolveCache(maxsize=configured_maxsize())
+    """The process-wide cache instance."""
     return _cache
 
 
 def clear() -> None:
     """Drop all cached solutions and reset the local hit/miss tallies."""
-    if _cache is not None:
-        _cache.clear()
-
-
-def reset() -> None:
-    """Discard the process-wide instance so the next use re-reads the env.
-
-    Tests that change ``REPRO_SOLVE_CACHE_SIZE`` call this to apply the new
-    capacity; the normal runtime never needs it.
-    """
-    global _cache
-    with _cache_lock:
-        _cache = None
+    _cache.clear()
 
 
 def _normalized_offsets(pattern: Pattern) -> Tuple[Tuple[int, ...], ...]:
@@ -348,8 +273,8 @@ def _normalize_raw(
     )
 
 
-#: Memo of ``(offsets, mode) -> (canonical offsets, perm, flips)``; bounded
-#: so pathological traffic can't grow it without bound.
+#: Memo of ``offsets -> (canonical offsets, perm, flips)``; bounded so
+#: pathological traffic can't grow it without bound.
 _CANON_MEMO_MAX = 4096
 _canon_memo: "OrderedDict[Hashable, Tuple[Tuple[Tuple[int, ...], ...], Tuple[int, ...], Tuple[bool, ...]]]" = (
     OrderedDict()
@@ -357,9 +282,7 @@ _canon_memo: "OrderedDict[Hashable, Tuple[Tuple[Tuple[int, ...], ...], Tuple[int
 _canon_lock = threading.Lock()
 
 
-def canonicalize(
-    pattern: Pattern, mode: Optional[str] = None
-) -> Tuple[Pattern, SymmetryOp]:
+def canonicalize(pattern: Pattern) -> Tuple[Pattern, SymmetryOp]:
     """Map a pattern to its canonical orbit representative.
 
     Returns ``(canonical_pattern, op)`` where ``op`` reconstructs the
@@ -371,22 +294,18 @@ def canonicalize(
     self-symmetries) break deterministically on enumeration order, so every
     process picks the same op for the same pattern.
 
-    ``mode`` overrides ``REPRO_SOLVE_CANON`` (``"symmetry"`` /
-    ``"translation"``); patterns beyond :data:`MAX_SYMMETRY_NDIM`
-    dimensions always use the translation-only quotient.
+    Patterns beyond :data:`MAX_SYMMETRY_NDIM` dimensions use the
+    translation-only quotient.
     """
-    if mode is None:
-        mode = canon_mode()
     ndim = pattern.ndim
-    if mode == "translation" or ndim > MAX_SYMMETRY_NDIM:
+    if ndim > MAX_SYMMETRY_NDIM:
         return pattern.normalized(), _identity_op(ndim)
 
     offsets = pattern.offsets
-    memo_key = (offsets, mode)
     with _canon_lock:
-        cached = _canon_memo.get(memo_key)
+        cached = _canon_memo.get(offsets)
         if cached is not None:
-            _canon_memo.move_to_end(memo_key)
+            _canon_memo.move_to_end(offsets)
     if cached is None:
         best: Optional[Tuple[Tuple[int, ...], ...]] = None
         best_perm: Tuple[int, ...] = tuple(range(ndim))
@@ -406,7 +325,7 @@ def canonicalize(
         assert best is not None
         cached = (best, best_perm, best_flips)
         with _canon_lock:
-            _canon_memo[memo_key] = cached
+            _canon_memo[offsets] = cached
             while len(_canon_memo) > _CANON_MEMO_MAX:
                 _canon_memo.popitem(last=False)
 
@@ -439,7 +358,6 @@ def canonical_key(
     n_max: Optional[int],
     objective_value: str,
     delta_max: int,
-    mode: Optional[str] = None,
 ) -> Hashable:
     """Symmetry-quotient cache key: equal across a pattern's whole orbit.
 
@@ -450,7 +368,7 @@ def canonical_key(
     :func:`solve_key` itself is untouched: its digests are pinned by the
     serve store's on-disk artifacts and the golden-digest tests.
     """
-    canon, op = canonicalize(pattern, mode=mode)
+    canon, op = canonicalize(pattern)
     tail = int(shape[op.perm[-1]]) if shape else None
     return canonical_solve_key(
         canon.offsets, tail, n_max, objective_value, delta_max

@@ -282,15 +282,17 @@ def _sweep_conflicts_vectorized(
     notice the execution strategy, so the charges mirror the scalar loop
     exactly: ``mod(m)`` + ``compare(distinct)`` per candidate.
 
-    Candidate blocks are bounded by the bulk chunk budget so the
-    ``(block, m)`` residue matrix never blows up for extreme ``n_max``.
+    Candidate blocks are bounded by the bulk chunk budget so that both the
+    ``(block, m)`` residue matrix and the ``(block, n_max)`` histogram stay
+    within it (a block is at least one candidate, so past
+    ``n_max > budget`` the histogram row alone exceeds it).
     """
     from .vectorized import chunk_budget  # local: avoids an import cycle
 
     z = np.asarray(z_values, dtype=np.int64)
     m = len(z_values)
     conflicts: List[Optional[int]] = [None]
-    block = max(1, chunk_budget() // max(m, 1))
+    block = max(1, chunk_budget() // max(m, n_max))
     for lo in range(1, n_max + 1, block):
         hi = min(lo + block - 1, n_max)
         ns = np.arange(lo, hi + 1, dtype=np.int64)
@@ -381,9 +383,9 @@ def partition(
        fast two-level modulo scheme.
 
     Solutions are memoized on the translation-normalized pattern (see
-    :mod:`repro.core.cache`); pass ``cache=False`` — or set
-    ``REPRO_SOLVE_CACHE=0`` — to force a fresh solve.  Instrumented calls
-    (``ops`` given) always solve fresh so op counts stay honest.
+    :mod:`repro.core.cache`); pass ``cache=False`` to force a fresh solve.
+    Instrumented calls (``ops`` given) always solve fresh so op counts stay
+    honest.
 
     Examples
     --------
@@ -396,7 +398,7 @@ def partition(
     """
     from . import cache as solve_cache  # local: cache imports this module
 
-    use_cache = cache and ops is None and solve_cache.enabled()
+    use_cache = cache and ops is None
     if use_cache:
         key = solve_cache.partition_key(pattern, n_max, same_size)
         hit = solve_cache.cache().get(key, pattern)

@@ -123,7 +123,6 @@ def solve(
     delta_max: int = 0,
     ops: OpCounter | None = None,
     cache: bool = True,
-    canon: Optional[str] = None,
 ) -> SolverResult:
     """Solve Problem 1 for one pattern under the chosen objective order.
 
@@ -147,14 +146,10 @@ def solve(
         the paper's algorithm on the caller's own pattern.
     cache:
         Look up / store the solution in the canonical solve cache
-        (:mod:`repro.core.cache`).  ``False`` forces a fresh solve;
-        ``REPRO_SOLVE_CACHE=0`` disables caching process-wide.
-    canon:
-        Canonicalization mode override (``"symmetry"``/``"translation"``);
-        ``None`` follows ``REPRO_SOLVE_CANON``.  Under the symmetry mode
-        the solver always runs on the canonical orbit representative and
-        maps the solution back into the caller's frame — cold and warm
-        paths therefore return bit-identical results by construction.
+        (:mod:`repro.core.cache`).  ``False`` forces a fresh solve.  Either
+        way the solver runs on the canonical orbit representative and maps
+        the solution back into the caller's frame — cold and warm paths
+        therefore return bit-identical results by construction.
 
     Raises
     ------
@@ -181,10 +176,9 @@ def solve(
         ):
             return _solve_impl(pattern, shape, n_max, objective, delta_max, ops)
 
-    use_cache = cache and solve_cache.enabled()
     started = time.perf_counter()
     shape_t = tuple(shape) if shape else None
-    canon_pattern, op = solve_cache.canonicalize(pattern, mode=canon)
+    canon_pattern, op = solve_cache.canonicalize(pattern)
     canon_shape = op.shape_to_canonical(shape_t)
     key = solve_cache.canonical_solve_key(
         canon_pattern.offsets,
@@ -193,7 +187,7 @@ def solve(
         objective.value,
         delta_max,
     )
-    if use_cache:
+    if cache:
         hit = solve_cache.cache().get(key, canon_pattern)
         if hit is not None:
             result = _finish_result(op.solution_to_caller(hit, pattern), shape)
@@ -213,7 +207,7 @@ def solve(
     obs_registry().log_histogram("solve.cold_ms").observe(
         (time.perf_counter() - started) * 1000.0
     )
-    if use_cache:
+    if cache:
         solve_cache.cache().put(key, canon_result.solution)
     return _finish_result(
         op.solution_to_caller(canon_result.solution, pattern), shape

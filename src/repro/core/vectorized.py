@@ -14,7 +14,6 @@ checkable at runtime via :func:`verify_bulk_matches_scalar`).
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Dict, Iterator, Tuple
 
 import numpy as np
@@ -60,34 +59,22 @@ def has_bulk_kernel(mapping_type: type) -> bool:
 
 #: Default number of coordinate rows materialized per bulk chunk.  A chunk
 #: is a ``(chunk, n)`` int64 block, so the default caps transient memory at
-#: a few megabytes regardless of the array size.  Override per call or via
-#: the ``REPRO_BULK_CHUNK`` environment variable.
+#: a few megabytes regardless of the array size.  Override per call.
 DEFAULT_CHUNK_ELEMENTS = 1 << 18
 
 #: Hard ceiling on a *fully materialized* element grid.  Above this,
 #: :func:`element_grid` refuses and callers must stream chunks via
-#: :func:`iter_element_chunks`.  Override via ``REPRO_BULK_MAX``.
+#: :func:`iter_element_chunks`.
 DEFAULT_MAX_GRID_ELEMENTS = 1 << 26
 
 
 def chunk_budget(chunk: int | None = None) -> int:
-    """Resolve the bulk chunk size: explicit arg > env var > default."""
+    """Resolve the bulk chunk size: explicit arg > default."""
     if chunk is not None:
         if chunk < 1:
             raise MappingError(f"chunk size must be positive, got {chunk}")
         return chunk
-    env = os.environ.get("REPRO_BULK_CHUNK", "").strip()
-    if env:
-        value = int(env)
-        if value < 1:
-            raise MappingError(f"REPRO_BULK_CHUNK must be positive, got {value}")
-        return value
     return DEFAULT_CHUNK_ELEMENTS
-
-
-def _max_grid_elements() -> int:
-    env = os.environ.get("REPRO_BULK_MAX", "").strip()
-    return int(env) if env else DEFAULT_MAX_GRID_ELEMENTS
 
 
 def grid_size(shape: Tuple[int, ...]) -> int:
@@ -107,12 +94,11 @@ def element_grid(shape: Tuple[int, ...]) -> "np.ndarray":
     :func:`iter_element_chunks` instead.
     """
     total = grid_size(shape)
-    cap = _max_grid_elements()
-    if total > cap:
+    if total > DEFAULT_MAX_GRID_ELEMENTS:
         raise MappingError(
             f"element grid of shape {tuple(shape)} has {total} elements, above "
-            f"the materialization cap of {cap}; process it in bounded chunks "
-            "with iter_element_chunks() (or raise REPRO_BULK_MAX)"
+            f"the materialization cap of {DEFAULT_MAX_GRID_ELEMENTS}; process "
+            "it in bounded chunks with iter_element_chunks()"
         )
     out = np.empty((total, len(shape)), dtype=np.int64)
     for start, block in iter_element_chunks(shape):

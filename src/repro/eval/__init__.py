@@ -1,7 +1,6 @@
 """Evaluation harnesses regenerating the paper's tables and case study."""
 
 from .casestudy import CaseStudy, run_case_study
-from .parallel import resolve_jobs, run_parallel
 from .metrics import (
     AlgorithmRun,
     geometric_mean,
@@ -32,8 +31,6 @@ from .validation import (
 __all__ = [
     "CaseStudy",
     "run_case_study",
-    "resolve_jobs",
-    "run_parallel",
     "AlgorithmRun",
     "geometric_mean",
     "improvement",

@@ -25,8 +25,7 @@ from ..core.pattern import Pattern
 from ..obs.metrics import registry as obs_registry
 from ..obs.tracer import span
 from ..patterns.library import log_pattern
-from ..sched import Task, gather, sched_enabled
-from .parallel import run_parallel
+from ..sched import Task, gather
 
 
 @dataclass(frozen=True)
@@ -54,9 +53,8 @@ class CaseStudy:
     ltb_overhead_elements: int
 
 
-def _ours_chain_task(task):
-    """Worker half 1: everything derived by the paper's algorithm."""
-    pattern, n_max = task
+def _ours_chain_task(pattern, n_max):
+    """Scheduler node: everything derived by the paper's algorithm."""
     ours_ops = OpCounter()
     n_f, transform, z_values = minimize_nf(pattern, ops=ours_ops)
     solution = partition(pattern)
@@ -66,73 +64,49 @@ def _ours_chain_task(task):
     return (n_f, transform, tuple(z_values), bank_indices, sweep, nc_fast, rounds, ours_ops)
 
 
-def _ltb_chain_task(task):
-    """Worker half 2: the (much slower) LTB baseline.
-
-    The task payload carries the chain-wide bank ceiling and the search
-    engine; the worker *honors* the ceiling instead of re-deriving (or,
-    as this task once did, silently discarding) it.  The bound is valid by
-    construction — see :func:`run_case_study`.
-    """
-    pattern, bound, engine = task
-    ltb_ops = OpCounter()
-    ltb = ltb_partition(pattern, n_max=bound, ops=ltb_ops, engine=engine)
-    return (ltb.solution.n_banks, ltb.vectors_tried, ltb_ops)
-
-
-def _case_chain_task(task):
-    kind, pattern, bound, engine = task
-    if kind == "ours":
-        return _ours_chain_task((pattern, bound))
-    return _ltb_chain_task((pattern, bound, engine))
-
-
 def _bound_task(pattern):
     """Scheduler node: the chain-wide LTB bank ceiling (sub-ms, inline)."""
     return partition(pattern).n_banks
 
 
-def _ltb_after_bound_task(pattern, engine, bound):
-    """Scheduler node: LTB search under the bound produced by its dep."""
-    return _ltb_chain_task((pattern, bound, engine))
+def _ltb_chain_task(pattern, engine, bound):
+    """Scheduler node: the (much slower) LTB baseline.
 
-
-def _case_chains(pattern, n_max, ltb_bound_hint, jobs, ltb_engine):
-    """Run the two algorithm chains; DAG-scheduled unless disabled.
-
-    Under the scheduler the bank ceiling is a real dependency edge — an
-    inline task feeding the (process-heavy) LTB node — instead of a value
-    the parent computes before any parallelism starts.  The ours chain is
-    an independent subgraph, so it runs concurrently with both.
-    ``ltb_bound_hint`` keeps the flat path's call order identical to the
-    pre-scheduler code.
+    ``bound`` is the chain-wide bank ceiling produced by the
+    :func:`_bound_task` dependency; the worker honors it instead of
+    re-deriving it.  The bound is valid by construction — see
+    :func:`run_case_study`.
     """
-    if sched_enabled():
-        t_ours = Task(
-            _ours_chain_task,
-            args=((pattern, n_max),),
-            placement="process",
-            name="casestudy.ours",
-        )
-        t_bound = Task(
-            _bound_task, args=(pattern,), placement="inline", name="casestudy.bound"
-        )
-        t_ltb = Task(
-            _ltb_after_bound_task,
-            args=(pattern, ltb_engine),
-            deps=(t_bound,),
-            placement="process",
-            name="casestudy.ltb",
-        )
-        return gather([t_ours, t_ltb], jobs=jobs)
-    return run_parallel(
-        _case_chain_task,
-        [
-            ("ours", pattern, n_max, None),
-            ("ltb", pattern, ltb_bound_hint, ltb_engine),
-        ],
-        jobs=jobs,
+    ltb_ops = OpCounter()
+    ltb = ltb_partition(pattern, n_max=bound, ops=ltb_ops, engine=engine)
+    return (ltb.solution.n_banks, ltb.vectors_tried, ltb_ops)
+
+
+def _case_chains(pattern, n_max, jobs, ltb_engine):
+    """Run the two algorithm chains as one scheduled DAG.
+
+    The bank ceiling is a real dependency edge — an inline task feeding the
+    (process-heavy) LTB node — instead of a value the parent computes before
+    any parallelism starts.  The ours chain is an independent subgraph, so
+    it runs concurrently with both.
+    """
+    t_ours = Task(
+        _ours_chain_task,
+        args=(pattern, n_max),
+        placement="process",
+        name="casestudy.ours",
     )
+    t_bound = Task(
+        _bound_task, args=(pattern,), placement="inline", name="casestudy.bound"
+    )
+    t_ltb = Task(
+        _ltb_chain_task,
+        args=(pattern, ltb_engine),
+        deps=(t_bound,),
+        placement="process",
+        name="casestudy.ltb",
+    )
+    return gather([t_ours, t_ltb], jobs=jobs)
 
 
 def run_case_study(
@@ -149,21 +123,20 @@ def run_case_study(
 
     ``jobs`` > 1 runs the two independent algorithm chains (ours, LTB) on
     separate worker processes — as a scheduled DAG (bound → LTB, with the
-    ours chain as a free subgraph) unless ``REPRO_SCHED=0`` selects the
-    flat pool; the numbers are identical to a serial run either way.
+    ours chain as a free subgraph); the numbers are identical to a serial
+    run.
 
-    The LTB chain runs under a shared ceiling derived once by the parent:
-    our unconstrained ``N_f``.  It is a sound bound — at ``N = N_f`` the
+    The LTB chain runs under a shared ceiling derived once per run: our
+    unconstrained ``N_f``.  It is a sound bound — at ``N = N_f`` the
     component-wise residues ``α mod N_f`` form a valid candidate vector, so
     the exhaustive search always terminates at or below it.  (The
     case-study ``n_max`` itself is the *folding* ceiling of the ours chain
     and would be too tight: LoG's LTB minimum is 13 > 10.)
     """
     pattern = log_pattern().translated((2, 2))
-    ltb_bound = partition(pattern).n_banks
 
     with span("eval.casestudy", jobs=jobs):
-        chains = _case_chains(pattern, n_max, ltb_bound, jobs, ltb_engine)
+        chains = _case_chains(pattern, n_max, jobs, ltb_engine)
         (n_f, transform, z_values, bank_indices, sweep, nc_fast, rounds, ours_ops) = chains[0]
         ltb_banks, ltb_vectors, ltb_ops = chains[1]
 

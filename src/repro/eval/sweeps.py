@@ -4,11 +4,10 @@ Each function returns a list of (x, ...) rows — the series a plot would
 show — so benchmark output can report trends: overhead vs bank count,
 overhead vs resolution, throughput vs unroll factor, energy vs scheme.
 
-The parallel sweeps run through the DAG scheduler (:mod:`repro.sched`;
-``REPRO_SCHED=0`` falls back to the flat pool), which adds streaming: pass
-``on_row`` to receive ``(index, row)`` callbacks the moment each point
-completes — no barrier on the slowest point — while the returned list
-stays in input order and byte-identical to a serial run.
+The parallel sweeps run through the DAG scheduler (:mod:`repro.sched`),
+which adds streaming: pass ``on_row`` to receive ``(index, row)`` callbacks
+the moment each point completes — no barrier on the slowest point — while
+the returned list stays in input order and byte-identical to a serial run.
 """
 
 from __future__ import annotations
@@ -30,8 +29,7 @@ from ..hw.energy import (
 )
 from ..patterns.generators import unrolled
 from ..patterns.library import RESOLUTIONS
-from ..sched import Task, run_stream, sched_enabled
-from .parallel import run_parallel
+from ..sched import Task, run_stream
 
 #: Streaming callback: ``on_row(index, row)`` as each point completes.
 RowCallback = Callable[[int, Any], None]
@@ -46,16 +44,8 @@ def _map_rows(
     """Ordered map over sweep points, streaming completions to ``on_row``.
 
     The list comes back in input order regardless of completion order, so
-    the default (no callback) behavior is indistinguishable from the old
-    flat map.  With ``REPRO_SCHED=0`` the flat pool runs the batch and the
-    callbacks fire after the barrier, in input order.
+    the default (no callback) behavior is indistinguishable from a flat map.
     """
-    if not sched_enabled():
-        results = run_parallel(fn, items, jobs=jobs)
-        if on_row is not None:
-            for i, row in enumerate(results):
-                on_row(i, row)
-        return results
     tasks = [Task(fn, args=(item,)) for item in items]
     index = {task: i for i, task in enumerate(tasks)}
     results: List[Any] = [None] * len(tasks)

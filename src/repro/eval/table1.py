@@ -9,17 +9,15 @@ convention.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..obs.metrics import registry as obs_registry
 from ..obs.tracer import span
 from ..patterns.library import BENCHMARKS, benchmark_shape
-from ..sched import map_tasks, sched_enabled
+from ..sched import map_tasks
 from .metrics import AlgorithmRun, improvement, run_ltb, run_ours, storage_blocks
 from .paper_data import RESOLUTION_ORDER
-from .parallel import run_parallel
 
 
 @dataclass(frozen=True)
@@ -126,35 +124,13 @@ def build_row(
     return Table1Row(benchmark=benchmark, ours=ours, ltb=ltb, storage=storage)
 
 
-def _build_row_task(
-    task: Tuple[str, int, str]
-) -> Tuple[Table1Row, Dict[str, Any]]:
-    """Flat-pool worker entry: one row, plus the metrics it recorded.
-
-    Runs in a forked worker whose process-global registry is an opaque copy
-    of the parent's — so it is reset first, and everything the row records
-    travels home in the returned dump for the parent to merge.  All
-    configuration (including the LTB engine) travels in the task payload:
-    workers inherit no CLI state.
-    """
-    benchmark, time_repetitions, ltb_engine = task
-    registry = obs_registry()
-    registry.reset()
-    row = build_row(
-        benchmark, time_repetitions=time_repetitions, ltb_engine=ltb_engine
-    )
-    # worker_id makes the parent's merge publish worker.<id>.* shadows, so
-    # per-worker skew (one slow forked worker) stays attributable.
-    return row, registry.dump(worker_id=f"pid{os.getpid()}")
-
-
 def _row_task(task: Tuple[str, int, str]) -> Table1Row:
     """Scheduler task body: one row, bare.
 
-    The scheduler's process channel resets the worker registry and merges
-    its dump home automatically, so unlike :func:`_build_row_task` this
-    returns only the row — doing the dump here too would double-count
-    every metric the row records.
+    All configuration (including the LTB engine) travels in the task
+    payload: workers inherit no CLI state.  The scheduler's process channel
+    resets the worker registry and merges its dump home, so the row returns
+    alone — dumping here too would double-count every metric it records.
     """
     benchmark, time_repetitions, ltb_engine = task
     return build_row(
@@ -170,24 +146,16 @@ def build_table(
 ) -> Table1:
     """Measure the full Table 1 (or a subset of rows).
 
-    ``jobs`` > 1 measures rows on that many worker processes — through the
-    DAG scheduler (:func:`repro.sched.map_tasks`) by default, or the flat
-    pool when ``REPRO_SCHED=0``; results (and the metrics each row
-    publishes) come back in benchmark order either way, so the table and
-    the registry match a serial run.
+    ``jobs`` > 1 measures rows on that many worker processes through the
+    DAG scheduler (:func:`repro.sched.map_tasks`); results (and the metrics
+    each row publishes) come back in benchmark order, so the table and the
+    registry match a serial run.
     """
     names = list(benchmarks) if benchmarks is not None else list(BENCHMARKS)
     with span("eval.table1.build", benchmarks=",".join(names), jobs=jobs):
         if jobs is not None and jobs > 1:
             payloads = [(name, time_repetitions, ltb_engine) for name in names]
-            if sched_enabled():
-                rows = tuple(map_tasks(_row_task, payloads, jobs=jobs))
-            else:
-                outcomes = run_parallel(_build_row_task, payloads, jobs=jobs)
-                registry = obs_registry()
-                for _, dump in outcomes:
-                    registry.merge(dump)
-                rows = tuple(row for row, _ in outcomes)
+            rows = tuple(map_tasks(_row_task, payloads, jobs=jobs))
         else:
             rows = tuple(
                 build_row(

@@ -13,8 +13,7 @@ dependency:
   :class:`~repro.errors.NativeUnavailableError` with the build hint;
 * ``engine="auto"`` silently falls back to the NumPy engines;
 * ``REPRO_NATIVE=0`` force-disables the tier even when the extension is
-  importable (the kill-switch idiom shared with ``REPRO_SOLVE_CACHE`` and
-  ``REPRO_SCHED``).
+  importable.
 
 Like the NumPy bulk tier's kernel registry
 (:func:`repro.core.vectorized.register_bulk_kernel`), mapping types opt into

@@ -2,7 +2,7 @@
 
 A *trace id* names one logical request end to end: the serve layer mints
 one per HTTP request, the coalescer carries it into the batch executor,
-and :func:`repro.eval.parallel.run_parallel` ships it into pool workers —
+and :mod:`repro.sched` ships it into process workers —
 so every span recorded anywhere on behalf of that request can be grouped
 back into a single tree (see :mod:`repro.obs.reqtrace`).
 

@@ -9,8 +9,10 @@ Public surface:
 * :func:`~repro.sched.runtime.gather` — execute and return values in input
   order (raises the first failure).
 * :func:`~repro.sched.runtime.map_tasks` — flat-map adapter used by the
-  rewired eval/verify/serve harnesses; falls back to
-  :func:`repro.eval.parallel.run_parallel` when ``REPRO_SCHED=0``.
+  eval/verify/serve harnesses.
+
+This is the only executor: Table 1, the case study, the sweeps, verify and
+serve all run through it.
 
 See ``docs/SCHEDULER.md`` for the task model, placement rules, and
 deduplication semantics.
@@ -29,7 +31,6 @@ from .runtime import (
     gather,
     map_tasks,
     run_stream,
-    sched_enabled,
 )
 from .task import PLACEMENTS, Task
 
@@ -41,7 +42,6 @@ __all__ = [
     "run_stream",
     "gather",
     "map_tasks",
-    "sched_enabled",
     "PLACEMENTS",
     "RESCHEDULE_LIMIT",
     "TASKS_TOTAL",

@@ -3,11 +3,9 @@
 Every evaluation pipeline in this repo — Table 1 rows, case-study chains,
 sweep grids, verify suites, the serve micro-batch tier — is a DAG
 (pattern → solve → simulate → aggregate) whose upstream solve nodes are
-heavily shared.  :func:`repro.eval.parallel.run_parallel` executes those
-pipelines as a flat map: shared work re-dispatches per item and the whole
-batch barriers on the slowest element.  This runtime replaces the flat map
-where structure exists, while ``run_parallel`` stays as the flat fallback
-(``REPRO_SCHED=0`` routes every rewired call site back onto it).
+heavily shared.  This runtime is the repo's only executor: a flat map is
+the degenerate DAG (:func:`map_tasks`), and where structure exists shared
+work runs once and nothing barriers on the slowest element.
 
 Semantics
 ---------
@@ -21,9 +19,9 @@ Semantics
   fans out bit-identically.
 * **Per-task placement** — ``inline`` in the scheduler loop for
   sub-millisecond arithmetic, ``thread`` for I/O-bound work, ``process``
-  for heavy solves/simulations (shipped through the same registry-dump +
-  span-merge channel ``run_parallel`` uses, so worker metrics and trace
-  trees reassemble in the parent).
+  for heavy solves/simulations (shipped through a registry-dump +
+  span-merge channel, so worker metrics and trace trees reassemble in the
+  parent).
 * **Streaming** — :func:`run_stream` yields a :class:`TaskResult` the
   moment each task settles; there is no global barrier, so callers can
   emit finished rows while slower subgraphs are still running.
@@ -72,8 +70,6 @@ from ..obs.tracecontext import current_trace_id, trace
 from ..obs.tracer import tracer as obs_tracer
 from .task import Task
 
-_FALSY = ("", "0", "false", "no", "off")
-
 #: Times a task whose process worker crashed is re-queued before failing.
 RESCHEDULE_LIMIT = 1
 
@@ -83,16 +79,6 @@ DEDUP_HITS = "sched.dedup_hits"
 RESCHEDULED = "sched.rescheduled"
 CANCELLED = "sched.cancelled"
 TASK_HISTOGRAM = "sched.task_ms"
-
-
-def sched_enabled() -> bool:
-    """Whether rewired call sites use the DAG runtime (``REPRO_SCHED``).
-
-    Default on; any falsy value (``0``/``false``/``off``) routes every
-    rewired harness back onto the flat :func:`~repro.eval.parallel.run_parallel`
-    executor.  Read per call so tests and CLIs can flip it cheaply.
-    """
-    return os.environ.get("REPRO_SCHED", "1").strip().lower() not in _FALSY
 
 
 class CycleError(ReproError):
@@ -183,7 +169,11 @@ def _thread_entry(
 
 
 def _resolve_workers(jobs: Optional[int], n_tasks: int) -> int:
-    """Effective worker count; mirrors :func:`repro.eval.parallel.resolve_jobs`."""
+    """Effective worker count: ``None``/``1`` is serial, never more than tasks.
+
+    ``jobs <= 0`` raises — "zero workers" is always an upstream arithmetic
+    bug (a miscomputed CLI default, a bad division), never a serial request.
+    """
     if jobs is None:
         return 1
     if jobs <= 0:
@@ -518,18 +508,12 @@ def map_tasks(
     keys: Optional[Sequence[Any]] = None,
     placement: str = "auto",
 ) -> List[Any]:
-    """Scheduler-backed drop-in for :func:`repro.eval.parallel.run_parallel`.
+    """Map ``fn`` over ``items`` as a DAG of independent tasks.
 
-    Maps ``fn`` over ``items`` with results in input order.  ``keys``
-    (parallel to ``items``) enables digest-keyed deduplication: items whose
-    keys digest identically run once and share the result object.  When the
-    scheduler is disabled (``REPRO_SCHED=0``), falls back to the flat
-    ``run_parallel`` executor — same results, no dedup.
+    Results come back in input order.  ``keys`` (parallel to ``items``)
+    enables digest-keyed deduplication: items whose keys digest identically
+    run once and share the result object.  Without ``keys`` every item runs.
     """
-    if not sched_enabled():
-        from ..eval.parallel import run_parallel
-
-        return run_parallel(fn, items, jobs=jobs)
     if keys is not None and len(keys) != len(items):
         raise ValueError(
             f"keys must parallel items ({len(keys)} keys, {len(items)} items)"

@@ -15,8 +15,7 @@ Partitioning solves are CPU-bound, so the intake path instead:
 3. **Solves inline** — each batch runs through the DAG scheduler
    (:func:`repro.sched.map_tasks`, digest-keyed) in the server process,
    on the batch's executor thread, so solves share the in-memory solve
-   cache and metrics registry with the server.  ``REPRO_SCHED=0`` falls
-   back to the flat :func:`repro.eval.parallel.run_parallel` tier.
+   cache and metrics registry with the server.
 4. **Checks the store first** — a :class:`~repro.serve.store.SolutionStore`
    hit resolves the job without any solve and seeds the in-memory cache,
    which is what makes a warm restart serve its old working set with zero
@@ -152,8 +151,7 @@ def _execute_batch(
             else None
         )
         if stored is not None:
-            if solve_cache.enabled():
-                solve_cache.cache().put(spec.canonical_cache_key(), stored)
+            solve_cache.cache().put(spec.canonical_cache_key(), stored)
             outcomes[digest] = ("ok", stored)
         else:
             to_solve.append((digest, spec, trace_id))

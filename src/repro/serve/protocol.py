@@ -28,6 +28,7 @@ canonical frame and mapped back into each requester's frame through its
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, Hashable, Optional, Tuple
 
@@ -42,6 +43,7 @@ from ..core.mapping import BankMapping, ours_overhead_elements
 from ..core.partition import PartitionSolution
 from ..core.pattern import Pattern
 from ..core.solver import Objective
+from ..core.vectorized import DEFAULT_MAX_GRID_ELEMENTS, grid_size
 from ..errors import ReproError
 from ..io import pattern_to_dict, solution_to_dict
 
@@ -83,6 +85,11 @@ def error_payload(code: str, message: str, **extra: Any) -> Dict[str, Any]:
 # -- request parsing --------------------------------------------------------
 
 
+def _is_int_list(value: Any) -> bool:
+    """A list of JSON integers (``bool`` is an ``int`` subclass, not a number)."""
+    return isinstance(value, (list, tuple)) and all(type(v) is int for v in value)
+
+
 def require_mapping(doc: Any) -> Dict[str, Any]:
     """Return ``doc`` if it is a JSON object, else raise :class:`BadRequestError`."""
     if not isinstance(doc, dict):
@@ -105,8 +112,15 @@ def parse_pattern(doc: Dict[str, Any]) -> Pattern:
             )
         return benchmark_pattern(bench)
     if "offsets" in doc:
+        offsets = doc["offsets"]
+        if not isinstance(offsets, (list, tuple)) or not all(
+            map(_is_int_list, offsets)
+        ):
+            raise BadRequestError(
+                f"offsets must be a list of integer lists, got {offsets!r}"
+            )
         try:
-            return Pattern(doc["offsets"], name=name)
+            return Pattern(offsets, name=name)
         except ReproError as exc:
             raise BadRequestError(f"bad offsets: {exc}") from exc
     if "mask" in doc:
@@ -128,10 +142,9 @@ def _parse_shape(doc: Dict[str, Any], ndim: int) -> Optional[Tuple[int, ...]]:
     raw = doc.get("shape")
     if raw is None:
         return None
-    try:
-        shape = tuple(int(w) for w in raw)
-    except (TypeError, ValueError) as exc:
-        raise BadRequestError(f"shape must be a list of integers, got {raw!r}") from exc
+    if not _is_int_list(raw):
+        raise BadRequestError(f"shape must be a list of integers, got {raw!r}")
+    shape = tuple(raw)
     if len(shape) != ndim:
         raise BadRequestError(
             f"shape {shape} does not match pattern dimensionality {ndim}"
@@ -252,6 +265,12 @@ def parse_simulate_spec(doc: Any) -> SimulateSpec:
     spec = parse_solve_spec(doc)
     if spec.shape is None:
         raise BadRequestError("simulate requires an array shape")
+    volume = grid_size(spec.shape)
+    if volume > DEFAULT_MAX_GRID_ELEMENTS:
+        raise BadRequestError(
+            f"simulate shape {list(spec.shape)} has {volume} elements, above "
+            f"the cap of {DEFAULT_MAX_GRID_ELEMENTS}"
+        )
     step = _parse_optional_int(doc, "step", 1)
     ports = _parse_optional_int(doc, "ports", 1)
     engine = doc.get("engine", "auto")
@@ -282,9 +301,10 @@ def parse_simulate_spec(doc: Any) -> SimulateSpec:
 def parse_timeout_s(doc: Any) -> Optional[float]:
     """Per-request deadline in seconds, from a ``timeout_ms`` field.
 
-    ``None`` (absent) means no deadline; any number is accepted — a
+    ``None`` (absent) means no deadline; any finite number is accepted — a
     non-positive budget simply expires immediately, which is the documented
-    way to probe the deadline path.
+    way to probe the deadline path.  ``NaN`` and infinities (which Python's
+    JSON parser accepts) are rejected.
     """
     if not isinstance(doc, dict):
         return None
@@ -293,7 +313,13 @@ def parse_timeout_s(doc: Any) -> Optional[float]:
         return None
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise BadRequestError(f"timeout_ms must be a number, got {raw!r}")
-    return float(raw) / 1000.0
+    try:
+        seconds = float(raw) / 1000.0
+    except OverflowError:
+        seconds = math.inf
+    if not math.isfinite(seconds):
+        raise BadRequestError(f"timeout_ms must be finite, got {raw!r}")
+    return seconds
 
 
 # -- response building ------------------------------------------------------

@@ -28,7 +28,7 @@ for bit — is enforced by unit and Hypothesis property tests.
 
 Memory stays bounded on huge shapes: both the load pass and the trace pass
 work in chunks of at most :func:`~repro.core.vectorized.chunk_budget`
-coordinate rows (``REPRO_BULK_CHUNK`` overrides the default).
+coordinate rows (``chunk=`` overrides the default).
 """
 
 from __future__ import annotations

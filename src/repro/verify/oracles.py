@@ -437,21 +437,19 @@ def _symmetry_reference(ctx: _Context):
     """
     ref = getattr(ctx, "_symmetry_ref", None)
     if ref is None:
-        canon_pattern, _ = canonicalize(ctx.pattern, mode="symmetry")
+        canon_pattern, _ = canonicalize(ctx.pattern)
         key = canonical_key(
             ctx.pattern,
             ctx.case.shape,
             ctx.case.n_max,
             Objective.LATENCY.value,
             0,
-            mode="symmetry",
         )
         cold = solve(
             ctx.pattern,
             ctx.case.shape,
             n_max=ctx.case.n_max,
             cache=False,
-            canon="symmetry",
         )
         ref = (canon_pattern, key, cold.solution)
         ctx._symmetry_ref = ref
@@ -464,7 +462,7 @@ def _check_symmetry_variant(
     """All claimed invariances for one orbit member of the case's pattern."""
     failures: List[str] = []
     canon_base, base_key, base_solution = _symmetry_reference(ctx)
-    canon_v, op_v = canonicalize(variant, mode="symmetry")
+    canon_v, op_v = canonicalize(variant)
     if canon_v.offsets != canon_base.offsets:
         failures.append(
             f"{tag}: orbit members canonicalize differently: variant to "
@@ -472,15 +470,13 @@ def _check_symmetry_variant(
         )
         return failures  # downstream checks assume a shared representative
     v_key = canonical_key(
-        variant, v_shape, ctx.case.n_max, Objective.LATENCY.value, 0, mode="symmetry"
+        variant, v_shape, ctx.case.n_max, Objective.LATENCY.value, 0
     )
     if v_key != base_key:
         failures.append(
             f"{tag}: canonical_key is not orbit-invariant: {v_key} vs {base_key}"
         )
-    cold = solve(
-        variant, v_shape, n_max=ctx.case.n_max, cache=False, canon="symmetry"
-    ).solution
+    cold = solve(variant, v_shape, n_max=ctx.case.n_max, cache=False).solution
     for name in ("n_banks", "n_unconstrained", "delta_ii", "scheme"):
         got, want = getattr(cold, name), getattr(base_solution, name)
         if got != want:
@@ -565,8 +561,7 @@ def oracle_symmetry_composed(ctx: _Context) -> List[str]:
         # translate of the variant must still share the orbit key.
         shifted = variant.translated(tuple(e + 1 for e in variant.extents))
         s_key = canonical_key(
-            shifted, v_shape, ctx.case.n_max, Objective.LATENCY.value, 0,
-            mode="symmetry",
+            shifted, v_shape, ctx.case.n_max, Objective.LATENCY.value, 0
         )
         if s_key != base_key:
             failures.append(

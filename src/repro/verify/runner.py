@@ -18,12 +18,11 @@ Metrics: every run mirrors ``verify.cases`` / ``verify.failures`` (and
 per-oracle ``verify.oracle.<name>.failures``) into the process-global
 registry, visible through ``--emit-metrics`` like every other harness.
 
-Parallelism goes through the DAG scheduler (:func:`repro.sched.map_tasks`,
-``REPRO_SCHED=0`` falls back to the flat
-:func:`repro.eval.parallel.run_parallel`) — case specs are JSON payloads,
-so they pickle trivially and double as deduplication keys: replaying a
-file set that contains the same case twice runs its oracles once, with the
-identical record fanned out to every occurrence (corpus bytes unchanged).
+Parallelism goes through the DAG scheduler (:func:`repro.sched.map_tasks`).
+Case specs are JSON payloads, so they pickle trivially and double as
+deduplication keys: replaying a file set that contains the same case twice
+runs its oracles once, with the identical record fanned out to every
+occurrence (corpus bytes unchanged).
 Results come back in input order, keeping corpora deterministic for a
 given seed regardless of ``jobs``.  Shrinking always happens in the parent
 process (the predicate re-runs oracles many times on tiny cases; worker

@@ -12,6 +12,8 @@ built and skips with a visible reason when not.
 
 from __future__ import annotations
 
+import importlib
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -82,9 +84,14 @@ class TestEquivalence:
         # vectorized-engine knob; the native engine ignores it.)
         _assert_equivalent(log_pattern(), chunk=chunk)
 
-    def test_chunk_env_var(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LTB_CHUNK", "7")
+    def test_default_chunk_follows_the_bulk_default(self, monkeypatch):
+        monkeypatch.setattr(
+            importlib.import_module("repro.core.vectorized"),
+            "DEFAULT_CHUNK_ELEMENTS",
+            7,
+        )
         assert ltb_chunk_budget() == 7
+        assert ltb_chunk_budget(5) == 5  # an explicit budget wins
         _assert_equivalent(gaussian_pattern())
 
     def test_auto_matches_resolved_engine(self):
@@ -125,12 +132,3 @@ class TestValidation:
     def test_nonpositive_chunk_rejected(self, chunk):
         with pytest.raises(ValueError, match="chunk budget"):
             ltb_chunk_budget(chunk)
-
-    def test_nonpositive_chunk_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LTB_CHUNK", "0")
-        with pytest.raises(ValueError, match="REPRO_LTB_CHUNK"):
-            ltb_chunk_budget()
-
-    def test_explicit_chunk_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LTB_CHUNK", "11")
-        assert ltb_chunk_budget(5) == 5

@@ -1,55 +1,21 @@
-"""Parallel sweep executor: determinism, registry transport, CLI plumbing.
+"""Parallel harnesses: determinism, registry transport, CLI plumbing.
 
 Every ``jobs=N`` path must return exactly what the serial path returns, in
 the same order, with the same metrics published — parallelism is a speed
-knob, never a semantics knob.
+knob, never a semantics knob.  The executor itself (:mod:`repro.sched`) is
+covered in ``test_sched.py``.
 """
 
 from __future__ import annotations
 
 import json
 
-import pytest
-
-from repro.eval import resolve_jobs, run_parallel
 from repro.eval.casestudy import run_case_study
 from repro.eval.cli import main_casestudy, main_sweeps, main_table1
 from repro.eval.sweeps import overhead_vs_banks, throughput_vs_unroll
 from repro.eval.table1 import build_table
 from repro.obs import metrics as obs_metrics
 from repro.patterns import log_pattern
-
-
-def _square(x: int) -> int:
-    return x * x
-
-
-class TestRunParallel:
-    def test_resolve_jobs(self):
-        assert resolve_jobs(None, 10) == 1
-        assert resolve_jobs(1, 10) == 1
-        assert resolve_jobs(4, 10) == 4
-        assert resolve_jobs(8, 3) == 3  # never more workers than items
-        assert resolve_jobs(4, 1) == 1
-        assert resolve_jobs(4, 0) == 1
-
-    def test_resolve_jobs_rejects_nonpositive(self):
-        # "Zero workers" is an upstream bug, not a serial request.
-        with pytest.raises(ValueError, match="positive worker count"):
-            resolve_jobs(0, 10)
-        with pytest.raises(ValueError, match="positive worker count"):
-            resolve_jobs(-2, 10)
-        with pytest.raises(ValueError, match="positive worker count"):
-            run_parallel(_square, [1, 2, 3], jobs=0)
-
-    def test_serial_and_parallel_agree_in_order(self):
-        items = list(range(20))
-        serial = run_parallel(_square, items)
-        parallel = run_parallel(_square, items, jobs=4)
-        assert serial == parallel == [x * x for x in items]
-
-    def test_empty_items(self):
-        assert run_parallel(_square, [], jobs=4) == []
 
 
 class TestParallelSweeps:
@@ -154,75 +120,3 @@ class TestCli:
         gauges = payload["gauges"]
         assert any(k.startswith("sweeps.overhead.") for k in gauges)
         assert any(k.startswith("sweeps.unroll.") for k in gauges)
-
-
-class _AlwaysBrokenPool:
-    """A stand-in executor whose workers have all died."""
-
-    def __init__(self, max_workers=None):
-        self.max_workers = max_workers
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        from concurrent.futures.process import BrokenProcessPool
-
-        raise BrokenProcessPool("a child process terminated abruptly")
-
-
-class _FlakyPool(_AlwaysBrokenPool):
-    """Breaks on first use, works on the retry (a crashed-then-respawned pool)."""
-
-    failures_left = 1
-
-    def map(self, fn, items):
-        if type(self).failures_left > 0:
-            type(self).failures_left -= 1
-            return super().map(fn, items)
-        return list(map(fn, items))
-
-
-class TestBrokenPoolResilience:
-    """A crashed worker degrades the batch, never the process."""
-
-    def _broken_delta(self):
-        return (
-            obs_metrics.registry()
-            .snapshot()["counters"]
-            .get("parallel.pool.broken", 0)
-        )
-
-    def test_always_broken_falls_back_to_serial(self, monkeypatch):
-        import repro.eval.parallel as parallel_mod
-
-        monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", _AlwaysBrokenPool)
-        before = self._broken_delta()
-        items = list(range(8))
-        assert run_parallel(_square, items, jobs=4) == [x * x for x in items]
-        # One failure per attempt: the first pool and the retry pool.
-        assert self._broken_delta() - before == parallel_mod.POOL_RETRIES + 1
-
-    def test_broken_once_succeeds_on_fresh_pool(self, monkeypatch):
-        import repro.eval.parallel as parallel_mod
-
-        _FlakyPool.failures_left = 1
-        monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", _FlakyPool)
-        before = self._broken_delta()
-        items = list(range(8))
-        assert run_parallel(_square, items, jobs=4) == [x * x for x in items]
-        assert self._broken_delta() - before == 1
-
-    def test_serial_path_never_builds_a_pool(self, monkeypatch):
-        import repro.eval.parallel as parallel_mod
-
-        class _Bomb:
-            def __init__(self, *a, **k):
-                raise AssertionError("serial path must not construct a pool")
-
-        monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", _Bomb)
-        assert run_parallel(_square, [1, 2, 3], jobs=1) == [1, 4, 9]
-        assert run_parallel(_square, [7], jobs=8) == [49]

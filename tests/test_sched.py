@@ -11,6 +11,7 @@ semantics knob.
 
 from __future__ import annotations
 
+import importlib
 import os
 
 import pytest
@@ -32,7 +33,6 @@ from repro.sched import (
     gather,
     map_tasks,
     run_stream,
-    sched_enabled,
 )
 
 @pytest.fixture(autouse=True)
@@ -337,17 +337,20 @@ class TestMapTasks:
         with pytest.raises(ValueError, match="keys must parallel items"):
             map_tasks(_square, [1, 2, 3], keys=[1, 2])
 
-    def test_repro_sched_0_falls_back_to_flat_pool(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCHED", "0")
-        assert not sched_enabled()
-        before = _counter(TASKS_TOTAL)
-        assert map_tasks(_square, [1, 2, 3], jobs=2, keys=[0, 0, 0]) == [1, 4, 9]
-        # Flat fallback: no scheduler involvement, hence no sched.* activity.
-        assert _counter(TASKS_TOTAL) - before == 0
+    def test_empty_items(self):
+        assert map_tasks(_square, [], jobs=4) == []
 
-    def test_sched_enabled_by_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SCHED", raising=False)
-        assert sched_enabled()
+    def test_serial_path_never_builds_a_pool(self, monkeypatch):
+        runtime = importlib.import_module("repro.sched.runtime")
+
+        class _Bomb:
+            def __init__(self, *a, **k):
+                raise AssertionError("serial path must not construct a pool")
+
+        monkeypatch.setattr(runtime, "ProcessPoolExecutor", _Bomb)
+        monkeypatch.setattr(runtime, "ThreadPoolExecutor", _Bomb)
+        assert map_tasks(_square, [1, 2, 3], jobs=1) == [1, 4, 9]
+        assert map_tasks(_square, [7], jobs=8) == [49]
 
 
 class TestTelemetry:

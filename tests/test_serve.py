@@ -8,6 +8,7 @@ production traffic would, never through private shortcuts.
 
 from __future__ import annotations
 
+import http.client
 import importlib
 import json
 import socket
@@ -200,6 +201,23 @@ class TestSolveEndpoint:
         assert info.value.http_status == 400
         assert info.value.code == "bad_request"
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {"benchmark": "log", "shape": "64"},
+            {"benchmark": "log", "shape": [64.9, 48]},
+            {"benchmark": "log", "shape": [True, 48]},
+            {"offsets": [[0, 0], [1.5, 0]]},
+            {"offsets": [[0, 0], [True, 0]]},
+        ],
+        ids=["string-shape", "float-shape", "bool-shape", "float-offset", "bool-offset"],
+    )
+    def test_non_integer_coordinates_are_400(self, client, body):
+        """JSON integers only: no string iteration, truncation or bool-as-1."""
+        status, data, _ = client._request("POST", "/solve", body)
+        assert status == 400, data
+        assert json.loads(data)["error"]["code"] == "bad_request"
+
     def test_infeasible_is_422_and_server_survives(self, client):
         with pytest.raises(InfeasibleRequestError) as info:
             client.solve(benchmark="log", n_max=1, objective="banks")
@@ -253,7 +271,33 @@ class TestHttpFraming:
         assert json.loads(body)["error"]["code"] == "bad_request"
 
 
+def _scheduled() -> int:
+    return registry().snapshot()["counters"].get("serve.coalesce.scheduled", 0)
+
+
 class TestDeadlines:
+    @pytest.mark.parametrize(
+        "raw",
+        ["NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400],
+        ids=["nan", "inf", "-inf", "1e999", "huge-int"],
+    )
+    def test_non_finite_timeout_is_400_before_any_work(self, server, raw):
+        body = b'{"benchmark": "log", "timeout_ms": %s}' % raw.encode()
+        before = _scheduled()
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
+        try:
+            conn.request(
+                "POST", "/solve", body=body,
+                headers={"Content-Type": "application/json"},
+            )
+            response = conn.getresponse()
+            status, data = response.status, response.read()
+        finally:
+            conn.close()
+        assert status == 400, data
+        assert json.loads(data)["error"]["code"] == "bad_request"
+        assert _scheduled() == before
+
     def test_expired_at_intake_is_504_and_consumes_no_queue(self, tmp_path):
         with serve_in_thread(store_dir=str(tmp_path / "s")) as srv:
             with ServeClient(port=srv.port) as client:
@@ -352,6 +396,15 @@ class TestSimulateEndpoint:
         with pytest.raises(ServeError) as info:
             client._json("POST", "/simulate", {"benchmark": "se"})
         assert info.value.http_status == 400
+
+    def test_oversized_shape_is_400_before_any_solve(self, client):
+        before = _scheduled()
+        with pytest.raises(ServeError) as info:
+            client.simulate(benchmark="se", shape=(100000, 100000))
+        assert info.value.http_status == 400
+        assert info.value.code == "bad_request"
+        assert _scheduled() == before
+        assert client.healthz()["store"]["entries"] == 0
 
 
 class TestTable1Endpoint:

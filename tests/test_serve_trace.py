@@ -17,7 +17,7 @@ import threading
 import pytest
 
 from repro import obs
-from repro.eval.parallel import run_parallel
+from repro.sched import map_tasks
 from repro.serve import ServeClient, ServeError, serve_in_thread
 
 
@@ -304,7 +304,9 @@ class TestParallelTierTracing:
     def test_pool_spans_merge_with_worker_provenance(self, telemetry):
         with obs.trace("par1"):
             with obs.span("eval.parent"):
-                assert run_parallel(_traced_double, [1, 2, 3], jobs=2) == [2, 4, 6]
+                assert map_tasks(
+                    _traced_double, [1, 2, 3], jobs=2, placement="process"
+                ) == [2, 4, 6]
         records = obs.tracer().records()
         items = [r for r in records if r.name == "work.item"]
         assert len(items) == 3
@@ -315,11 +317,3 @@ class TestParallelTierTracing:
         assert {r.parent_id for r in items} == {parent.span_id}
         # and each carries the request's trace id across the process border
         assert {r.trace_id for r in items} == {"par1"}
-        hist = obs.registry().log_histograms()["parallel.task_ms"]
-        assert hist.count == 3
-        per_worker = [
-            name
-            for name in obs.registry().snapshot()["counters"]
-            if name.startswith("worker.pid") and name.endswith("parallel.tasks")
-        ]
-        assert per_worker, "per-worker task counters missing"

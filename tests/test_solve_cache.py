@@ -8,7 +8,13 @@ import importlib
 import pytest
 
 from repro.core import Objective, partition, solve, solve_cache
-from repro.core.cache import SolveCache, partition_key, solve_key, stable_digest
+from repro.core.cache import (
+    DEFAULT_MAXSIZE,
+    SolveCache,
+    partition_key,
+    solve_key,
+    stable_digest,
+)
 from repro.core.opcount import OpCounter
 from repro.core.pattern import Pattern
 from repro.eval.sweeps import overhead_vs_banks, throughput_vs_unroll
@@ -97,13 +103,6 @@ class TestSolveCacheBasics:
         assert count_solves["n"] == 2
         assert solve_cache.cache().hits == 0
 
-    def test_env_escape_hatch(self, count_solves, monkeypatch):
-        monkeypatch.setenv("REPRO_SOLVE_CACHE", "0")
-        solve(log_pattern(), n_max=8)
-        solve(log_pattern(), n_max=8)
-        assert count_solves["n"] == 2
-        assert len(solve_cache.cache()) == 0
-
     def test_instrumented_calls_bypass(self, count_solves):
         """Op-counted solves must measure real work, never a lookup."""
         solve(log_pattern(), n_max=8)
@@ -137,31 +136,15 @@ class TestSolveCacheBasics:
         cache.clear()
         assert cache.evictions == 0
 
-    def test_env_capacity_applied_after_reset(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SOLVE_CACHE_SIZE", "2")
-        solve_cache.reset()
-        try:
-            cache = solve_cache.cache()
-            assert cache.maxsize == 2
-            solve(log_pattern(), n_max=6)
-            solve(log_pattern(), n_max=7)
-            solve(log_pattern(), n_max=8)  # evicts the n_max=6 entry
-            assert len(cache) == 2
-            assert cache.evictions == 1
-        finally:
-            monkeypatch.delenv("REPRO_SOLVE_CACHE_SIZE")
-            solve_cache.reset()
-
-    @pytest.mark.parametrize("raw", ["0", "-3", "nope", "1.5"])
-    def test_env_capacity_rejects_non_positive_values(self, raw, monkeypatch):
-        monkeypatch.setenv("REPRO_SOLVE_CACHE_SIZE", raw)
-        solve_cache.reset()
-        try:
-            with pytest.raises(ValueError, match="REPRO_SOLVE_CACHE_SIZE"):
-                solve_cache.cache()
-        finally:
-            monkeypatch.delenv("REPRO_SOLVE_CACHE_SIZE")
-            solve_cache.reset()
+    def test_solves_evict_past_capacity(self, monkeypatch):
+        assert solve_cache.cache().maxsize == DEFAULT_MAXSIZE
+        cache = SolveCache(maxsize=2)
+        monkeypatch.setattr(solve_cache, "_cache", cache)
+        solve(log_pattern(), n_max=6)
+        solve(log_pattern(), n_max=7)
+        solve(log_pattern(), n_max=8)  # evicts the n_max=6 entry
+        assert len(cache) == 2
+        assert cache.evictions == 1
 
     def test_partition_cached_too(self, count_partitions):
         partition(log_pattern(), n_max=8)

@@ -57,7 +57,7 @@ def _strata_cases():
 
 
 def _key(pattern, shape, n_max):
-    return canonical_key(pattern, shape, n_max, "latency", 0, mode="symmetry")
+    return canonical_key(pattern, shape, n_max, "latency", 0)
 
 
 class TestCanonicalKeyOrbitInvariance:
@@ -91,16 +91,6 @@ class TestCanonicalKeyOrbitInvariance:
                     nxt.append((variant, v_shape))
             frontier = nxt[:3]  # keep the chain bounded but deep
 
-    def test_translation_mode_still_splits_reflections(self):
-        """The translation-only quotient must NOT merge chiral variants."""
-        reflected = CORNER.reflected((0,)).normalized()
-        assert reflected.offsets != CORNER.normalized().offsets
-        sym = canonical_key(CORNER, (16, 16), 8, "latency", 0, mode="symmetry")
-        assert canonical_key(reflected, (16, 16), 8, "latency", 0, mode="symmetry") == sym
-        trans_a = canonical_key(CORNER, (16, 16), 8, "latency", 0, mode="translation")
-        trans_b = canonical_key(reflected, (16, 16), 8, "latency", 0, mode="translation")
-        assert trans_a != trans_b
-
     def test_canonical_key_never_collides_with_pinned_solve_key(self):
         """Distinct tag: the store's ``solve_key`` digests stay untouched."""
         assert _key(CORNER, (16, 16), 8) != solve_key(
@@ -111,13 +101,13 @@ class TestCanonicalKeyOrbitInvariance:
         """5-D would cost ``4!·2^5`` candidates; the op must be identity."""
         offsets = ((0,) * 5, (1, 0, 1, 0, 1))
         assert len(offsets[0]) > MAX_SYMMETRY_NDIM
-        canon, op = canonicalize(Pattern(offsets), mode="symmetry")
+        canon, op = canonicalize(Pattern(offsets))
         assert op.is_identity
         assert canon.offsets == Pattern(offsets).normalized().offsets
 
     def test_canonicalize_is_deterministic_across_calls(self):
-        first = canonicalize(CORNER, mode="symmetry")
-        second = canonicalize(CORNER, mode="symmetry")
+        first = canonicalize(CORNER)
+        second = canonicalize(CORNER)
         assert first[0].offsets == second[0].offsets
         assert first[1] == second[1]
 
@@ -138,13 +128,10 @@ class TestWarmHitEqualsColdSolve:
         }
 
     @pytest.mark.parametrize("kind", ["reflection", "composed"])
-    def test_symmetry_hit_is_field_for_field_a_cold_solve(
-        self, kind, count_solves, monkeypatch
-    ):
+    def test_symmetry_hit_is_field_for_field_a_cold_solve(self, kind, count_solves):
         """A hit through a non-identity op must be indistinguishable from
         a cold solve of the caller's own variant — same ``α`` signs, same
         axis order, same pattern identity, everything."""
-        monkeypatch.setenv("REPRO_SOLVE_CANON", "symmetry")
         for pattern, shape, n_max in list(_strata_cases())[:4]:
             solve_cache.clear()
             solve(pattern, shape, n_max=n_max)
@@ -206,10 +193,3 @@ class TestSymmetryOpAlgebra:
         assert op.shape_to_canonical((4, 9, 16)) == (9, 4, 16)
         # The innermost extent — the one solve keys depend on — is pinned.
         assert op.shape_to_canonical((4, 9, 16))[-1] == 16
-
-    def test_mode_argument_overrides_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SOLVE_CANON", "translation")
-        _canon, op = canonicalize(CORNER.reflected((0,)), mode="symmetry")
-        assert not op.is_identity
-        _canon, op = canonicalize(CORNER.reflected((0,)))
-        assert op.is_identity

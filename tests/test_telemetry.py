@@ -15,13 +15,13 @@ import threading
 import pytest
 
 from repro import obs
-from repro.eval.parallel import TASK_HISTOGRAM, run_parallel
 from repro.obs.metrics import (
     LOG_BUCKET_COUNT,
     LogHistogram,
     MetricsRegistry,
 )
 from repro.obs.reqtrace import REQUEST_SPAN, TraceBuffer, build_trace_tree
+from repro.sched import TASK_HISTOGRAM, map_tasks
 
 
 @pytest.fixture
@@ -296,9 +296,9 @@ class TestZeroOverheadWhenDisabled:
             handle.link("t")
         assert obs.tracer().records() == []
 
-    def test_run_parallel_serial_records_no_spans_when_disabled(self):
+    def test_map_tasks_serial_records_no_spans(self):
         obs.disable()
-        assert run_parallel(lambda x: x + 1, [1, 2, 3], jobs=1) == [2, 3, 4]
+        assert map_tasks(lambda x: x + 1, [1, 2, 3], jobs=1) == [2, 3, 4]
         assert obs.tracer().records() == []
         # the latency histogram still records, in O(1) memory
         hist = obs.registry().log_histograms()[TASK_HISTOGRAM]

@@ -19,6 +19,8 @@ visible reason when it is not:
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -40,6 +42,7 @@ import importlib
 # ``repro.obs`` re-exports a ``tracer`` *function*, shadowing the submodule
 # attribute — resolve the module itself for monkeypatching.
 tracer_mod = importlib.import_module("repro.obs.tracer")
+_vectorized = importlib.import_module("repro.core.vectorized")
 from repro.obs.conflicts import ConflictTable
 from repro.patterns import log_pattern, se_pattern
 from repro.patterns.generators import rectangle
@@ -271,17 +274,11 @@ class TestDisabledTelemetryOverhead:
 
 
 class TestChunkGuards:
-    def test_chunk_budget_resolution(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BULK_CHUNK", raising=False)
+    def test_chunk_budget_resolution(self):
         assert chunk_budget() == DEFAULT_CHUNK_ELEMENTS
         assert chunk_budget(17) == 17
-        monkeypatch.setenv("REPRO_BULK_CHUNK", "99")
-        assert chunk_budget() == 99
         with pytest.raises(MappingError):
             chunk_budget(0)
-        monkeypatch.setenv("REPRO_BULK_CHUNK", "-3")
-        with pytest.raises(MappingError):
-            chunk_budget()
 
     def test_iter_element_chunks_covers_grid(self):
         shape = (7, 11)
@@ -296,13 +293,14 @@ class TestChunkGuards:
         """A grid far beyond the chunk budget still simulates exactly."""
         mapping = mapping_for(log_pattern(), shape=(20, 21), n_max=5)
         baseline = simulate_sweep(mapping, engine=fast_engine)
-        monkeypatch.setenv("REPRO_BULK_CHUNK", "64")  # 420-element grid
+        # 64-element chunks against a 420-element grid
+        monkeypatch.setattr(_vectorized, "DEFAULT_CHUNK_ELEMENTS", 64)
         chunked = simulate_sweep(mapping, engine=fast_engine)
         assert chunked == baseline
         assert chunked == simulate_sweep(mapping, engine="scalar")
 
     def test_element_grid_cap_raises_with_guidance(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BULK_MAX", "100")
+        monkeypatch.setattr(_vectorized, "DEFAULT_MAX_GRID_ELEMENTS", 100)
         with pytest.raises(MappingError, match="iter_element_chunks"):
             element_grid((20, 20))
         # The streaming path is the documented way out — and still works.
@@ -310,8 +308,25 @@ class TestChunkGuards:
         assert total == 400
 
     def test_sweep_vectorized_respects_chunk_budget(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BULK_CHUNK", "8")
+        monkeypatch.setattr(_vectorized, "DEFAULT_CHUNK_ELEMENTS", 8)
         pattern = rectangle((3, 5))
         scalar = same_size_sweep(pattern, 30, engine="scalar")
         vector = same_size_sweep(pattern, 30, engine="vectorized")
         assert scalar == vector
+
+    def test_sweep_histogram_stays_within_chunk_budget(self):
+        """The per-block residue histogram is ``rows x n_max`` cells, so the
+        block must shrink as ``n_max`` grows."""
+        vector_ops, scalar_ops = OpCounter(), OpCounter()
+        tracemalloc.start()
+        try:
+            vector = same_size_sweep(
+                log_pattern(), 4000, ops=vector_ops, engine="vectorized"
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        scalar = same_size_sweep(log_pattern(), 4000, ops=scalar_ops, engine="scalar")
+        assert vector == scalar
+        assert vector_ops.counts == scalar_ops.counts
