@@ -91,7 +91,6 @@ class TestEquivalence:
             7,
         )
         assert ltb_chunk_budget() == 7
-        assert ltb_chunk_budget(5) == 5  # an explicit budget wins
         _assert_equivalent(gaussian_pattern())
 
     def test_auto_matches_resolved_engine(self):
@@ -132,3 +131,11 @@ class TestValidation:
     def test_nonpositive_chunk_rejected(self, chunk):
         with pytest.raises(ValueError, match="chunk budget"):
             ltb_chunk_budget(chunk)
+
+    def test_explicit_chunk_overrides_default(self, monkeypatch):
+        monkeypatch.setattr(
+            importlib.import_module("repro.core.vectorized"),
+            "DEFAULT_CHUNK_ELEMENTS",
+            11,
+        )
+        assert ltb_chunk_budget(5) == 5
