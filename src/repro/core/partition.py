@@ -272,41 +272,43 @@ def _sweep_conflicts_scalar(
 def _sweep_conflicts_vectorized(
     z_values: Sequence[int], n_max: int, counter: OpCounter
 ) -> List[Optional[int]]:
-    """All candidate N in one broadcasted pass.
+    """All candidate N in broadcasted blocks.
 
-    ``residues[i, j] = z_j % n_i`` lives in ``[0, n_max)``, so one
-    ``bincount`` over ``row · n_max + residue`` keys yields every per-N
-    residue histogram at once; the mode (conflict count) is a row max and
-    the distinct-residue count (what :func:`mode_count` charges as a
-    compare) is a row nonzero count.  The hardware-cost model must not
-    notice the execution strategy, so the charges mirror the scalar loop
-    exactly: ``mod(m)`` + ``compare(distinct)`` per candidate.
+    Sorting each row of ``residues[i, j] = z_j % n_i`` puts equal residues
+    side by side, so the row's distinct-residue count (what
+    :func:`mode_count` charges as a compare) is one plus its number of
+    value changes, and its mode (the conflict count) is its longest run.
+    The hardware-cost model must not notice the execution strategy, so the
+    charges mirror the scalar loop exactly: ``mod(m)`` +
+    ``compare(distinct)`` per candidate.
 
-    Candidate blocks are bounded by the bulk chunk budget so that both the
-    ``(block, m)`` residue matrix and the ``(block, n_max)`` histogram stay
-    within it (a block is at least one candidate, so past
-    ``n_max > budget`` the histogram row alone exceeds it).
+    Candidate blocks are bounded by the bulk chunk budget, so the
+    ``(block, m)`` residue matrix stays within it for every ``n_max``.
     """
     from .vectorized import chunk_budget  # local: avoids an import cycle
 
     z = np.asarray(z_values, dtype=np.int64)
     m = len(z_values)
     conflicts: List[Optional[int]] = [None]
-    block = max(1, chunk_budget() // max(m, n_max))
+    block = max(1, chunk_budget() // m)
     for lo in range(1, n_max + 1, block):
-        hi = min(lo + block - 1, n_max)
-        ns = np.arange(lo, hi + 1, dtype=np.int64)
-        rows = len(ns)
+        ns = np.arange(lo, min(lo + block, n_max + 1), dtype=np.int64)
         residues = z[None, :] % ns[:, None]
-        keys = np.repeat(np.arange(rows, dtype=np.int64), m) * n_max
-        keys += residues.reshape(-1)
-        counts = np.bincount(keys, minlength=rows * n_max).reshape(rows, n_max)
-        modes = counts.max(axis=1)
-        distinct = (counts > 0).sum(axis=1)
-        for i in range(rows):
-            counter.mod(m)
-            counter.compare(int(distinct[i]))
-            conflicts.append(int(modes[i]))
+        residues.sort(axis=1)
+        size = residues.size
+        # Flat run-start flags plus a closing sentinel.  Every row opens a
+        # run, so no run crosses a row boundary.
+        starts = np.empty(size + 1, dtype=bool)
+        grid = starts[:-1].reshape(residues.shape)
+        grid[:, 0] = True
+        np.not_equal(residues[:, 1:], residues[:, :-1], out=grid[:, 1:])
+        starts[-1] = True
+        first = np.flatnonzero(starts)
+        runs = first[1:] - first[:-1]
+        row_runs = np.searchsorted(first, np.arange(0, size, m))
+        counter.mod(size)
+        counter.compare(len(runs))
+        conflicts.extend(np.maximum.reduceat(runs, row_runs).tolist())
     return conflicts
 
 

@@ -81,8 +81,9 @@ class SolverResult:
         )
 
 
-def _divisors(value: int) -> Tuple[int, ...]:
-    return tuple(d for d in range(1, value + 1) if value % d == 0)
+def _divisors(value: int, limit: int) -> Tuple[int, ...]:
+    """Divisors of ``value`` up to ``limit``, ascending."""
+    return tuple(d for d in range(1, min(value, limit) + 1) if value % d == 0)
 
 
 def _make_solution(
@@ -233,7 +234,7 @@ def _solve_impl(
                 "Objective.STORAGE needs the array shape: overhead depends on w[-1]"
             )
         ceiling = n_max if n_max is not None else shape[-1]
-        candidates = [d for d in _divisors(shape[-1]) if d <= ceiling]
+        candidates = _divisors(shape[-1], ceiling)
         if not candidates:
             raise InfeasibleConstraintError(
                 f"no divisor of w[-1]={shape[-1]} is <= n_max={ceiling}"

@@ -146,25 +146,15 @@ def build_table(
 ) -> Table1:
     """Measure the full Table 1 (or a subset of rows).
 
-    ``jobs`` > 1 measures rows on that many worker processes through the
-    DAG scheduler (:func:`repro.sched.map_tasks`); results (and the metrics
-    each row publishes) come back in benchmark order, so the table and the
-    registry match a serial run.
+    Rows run through the DAG scheduler (:func:`repro.sched.map_tasks`):
+    ``jobs`` > 1 measures them on that many worker processes, ``None`` or
+    1 inline.  Results (and the metrics each row publishes) come back in
+    benchmark order, so the table and the registry match a serial run.
     """
     names = list(benchmarks) if benchmarks is not None else list(BENCHMARKS)
     with span("eval.table1.build", benchmarks=",".join(names), jobs=jobs):
-        if jobs is not None and jobs > 1:
-            payloads = [(name, time_repetitions, ltb_engine) for name in names]
-            rows = tuple(map_tasks(_row_task, payloads, jobs=jobs))
-        else:
-            rows = tuple(
-                build_row(
-                    name,
-                    time_repetitions=time_repetitions,
-                    ltb_engine=ltb_engine,
-                )
-                for name in names
-            )
+        payloads = [(name, time_repetitions, ltb_engine) for name in names]
+        rows = tuple(map_tasks(_row_task, payloads, jobs=jobs))
     table = Table1(rows=rows)
     registry = obs_registry()
     registry.gauge("eval.table1.average_storage_improvement").set(

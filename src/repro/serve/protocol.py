@@ -43,7 +43,11 @@ from ..core.mapping import BankMapping, ours_overhead_elements
 from ..core.partition import PartitionSolution
 from ..core.pattern import Pattern
 from ..core.solver import Objective
-from ..core.vectorized import DEFAULT_MAX_GRID_ELEMENTS, grid_size
+from ..core.vectorized import (
+    DEFAULT_CHUNK_ELEMENTS,
+    DEFAULT_MAX_GRID_ELEMENTS,
+    grid_size,
+)
 from ..errors import ReproError
 from ..io import pattern_to_dict, solution_to_dict
 
@@ -250,10 +254,23 @@ def parse_solve_spec(doc: Any) -> SolveSpec:
             f"{[o.value for o in Objective]}"
         ) from exc
     delta_max = _parse_optional_int(doc, "delta_max", 0)
+    n_max = _parse_optional_int(doc, "n_max", 1)
+    # The same-size sweep walks every bank count up to its ceiling: n_max
+    # for "banks", the innermost extent (or n_max, if smaller) for
+    # "storage".  "latency" sweeps only below N_f, which the pattern
+    # bounds, so a slack n_max of any size stays cheap.
+    ceiling = n_max if objective is Objective.BANKS else None
+    if objective is Objective.STORAGE and shape is not None:
+        ceiling = shape[-1] if n_max is None else min(n_max, shape[-1])
+    if ceiling is not None and ceiling > DEFAULT_CHUNK_ELEMENTS:
+        raise BadRequestError(
+            f"objective {objective.value!r} would sweep {ceiling} bank counts, "
+            f"above the cap of {DEFAULT_CHUNK_ELEMENTS}"
+        )
     return SolveSpec(
         pattern=pattern,
         shape=shape,
-        n_max=_parse_optional_int(doc, "n_max", 1),
+        n_max=n_max,
         objective=objective,
         delta_max=0 if delta_max is None else delta_max,
     )

@@ -19,6 +19,7 @@ import pytest
 
 from repro.core.cache import solve_key, stable_digest
 from repro.core.solver import Objective, solve
+from repro.core.vectorized import DEFAULT_CHUNK_ELEMENTS
 from repro.io import solution_from_dict, solution_to_dict
 from repro.obs import registry
 from repro.patterns import log_pattern, median_pattern, se_pattern
@@ -217,6 +218,37 @@ class TestSolveEndpoint:
         status, data, _ = client._request("POST", "/solve", body)
         assert status == 400, data
         assert json.loads(data)["error"]["code"] == "bad_request"
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {"benchmark": "log", "objective": "banks", "n_max": DEFAULT_CHUNK_ELEMENTS + 1},
+            {
+                "benchmark": "log",
+                "objective": "storage",
+                "shape": [64, DEFAULT_CHUNK_ELEMENTS + 1],
+            },
+            {
+                "benchmark": "log",
+                "objective": "storage",
+                "shape": [64, 2 * (DEFAULT_CHUNK_ELEMENTS + 1)],
+                "n_max": DEFAULT_CHUNK_ELEMENTS + 1,
+            },
+        ],
+        ids=["banks-n-max", "storage-extent", "storage-both"],
+    )
+    def test_oversized_sweep_is_400_before_any_solve(self, client, body):
+        before = _scheduled()
+        status, data, _ = client._request("POST", "/solve", body)
+        assert status == 400, data
+        assert json.loads(data)["error"]["code"] == "bad_request"
+        assert _scheduled() == before
+
+    def test_slack_latency_n_max_is_not_bounded(self, client):
+        """Latency sweeps only below N_f, so a huge slack ceiling is cheap."""
+        doc = client.solve(benchmark="log", n_max=10**9)
+        direct = solve(log_pattern(), n_max=10**9, cache=False)
+        assert solution_from_dict(doc["solution"]) == direct.solution
 
     def test_infeasible_is_422_and_server_survives(self, client):
         with pytest.raises(InfeasibleRequestError) as info:
@@ -437,6 +469,9 @@ class TestIntrospection:
         assert health["uptime_s"] >= 0
 
     def test_metrics_is_prometheus_text(self, client):
+        # The registry is process-global: start from zero so the store
+        # counters below are this server's alone, whatever ran before.
+        registry().reset()
         client.solve(benchmark="se")
         text = client.metrics_text()
         assert "# TYPE repro_serve_requests_total counter" in text

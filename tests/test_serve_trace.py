@@ -17,7 +17,7 @@ import threading
 import pytest
 
 from repro import obs
-from repro.sched import map_tasks
+from repro.sched import TASK_HISTOGRAM, map_tasks
 from repro.serve import ServeClient, ServeError, serve_in_thread
 
 
@@ -317,3 +317,4 @@ class TestParallelTierTracing:
         assert {r.parent_id for r in items} == {parent.span_id}
         # and each carries the request's trace id across the process border
         assert {r.trace_id for r in items} == {"par1"}
+        assert obs.registry().log_histograms()[TASK_HISTOGRAM].count == 3

@@ -84,6 +84,16 @@ class TestStorageObjective:
             # ceiling of 0 to truly empty the candidate set.
             solve(log_pattern(), shape=(16, 13), n_max=0, objective=Objective.STORAGE)
 
+    def test_divisor_walk_stops_at_the_ceiling(self):
+        # Only divisors <= n_max are candidates, so a 2^40-wide array with
+        # n_max=16 walks 16 values, not 2^40.
+        wide = solve(
+            log_pattern(), shape=(16, 1 << 40), n_max=16, objective=Objective.STORAGE
+        )
+        narrow = solve(log_pattern(), shape=(16, 16), n_max=16, objective=Objective.STORAGE)
+        assert wide.solution == narrow.solution
+        assert wide.overhead_elements == 0
+
     def test_prime_dimension_falls_back_to_single_bank(self):
         result = solve(log_pattern(), shape=(16, 13), n_max=5, objective=Objective.STORAGE)
         assert result.solution.n_banks == 1

@@ -314,9 +314,9 @@ class TestChunkGuards:
         vector = same_size_sweep(pattern, 30, engine="vectorized")
         assert scalar == vector
 
-    def test_sweep_histogram_stays_within_chunk_budget(self):
-        """The per-block residue histogram is ``rows x n_max`` cells, so the
-        block must shrink as ``n_max`` grows."""
+    def test_sweep_memory_stays_within_chunk_budget(self):
+        """The sweep's working set is one ``(block, m)`` residue block,
+        whatever ``n_max`` is."""
         vector_ops, scalar_ops = OpCounter(), OpCounter()
         tracemalloc.start()
         try:
