@@ -8,7 +8,8 @@ in front of them:
 * :class:`~repro.serve.server.PartitionServer` — stdlib-asyncio HTTP
   server exposing ``/solve``, ``/simulate``, ``/table1``, ``/healthz``,
   and Prometheus ``/metrics``; per-request deadlines, structured errors,
-  and 429 backpressure.
+  429 backpressure, and repeats answered from the in-memory solve cache
+  on its event loop.
 * :class:`~repro.serve.coalesce.Coalescer` — request coalescing (identical
   canonical solves share one in-flight job) and micro-batching into an
   inline solve on one executor thread (:func:`repro.sched.map_tasks`).
@@ -21,8 +22,9 @@ in front of them:
   transport errors; ``repro-serve`` (:mod:`repro.serve.cli`) runs the
   server.
 
-The service is one process: a request's solve path is coalescer →
-store → inline solve, which reads and fills the in-memory solve cache.
+The service is one process: a request the in-memory solve cache cannot
+answer takes one path, coalescer → store → inline solve, and every
+solution that path produces fills the in-memory cache.
 Protocol, batching, store semantics and the measured single-process
 ceiling are documented in ``docs/SERVING.md``.
 """

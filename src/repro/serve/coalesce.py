@@ -1,25 +1,30 @@
 """Request intake: coalescing, micro-batching, and the solve tier.
 
-The server's throughput story is *not* "one asyncio task per solve".
-Partitioning solves are CPU-bound, so the intake path instead:
+The coalescer handles the requests the event loop could not answer from
+the in-memory solve cache (:mod:`repro.core.cache`).  The server computes
+each request's identity once — the canonical solve key (the
+symmetry-quotient identity) and its :func:`~repro.core.cache.stable_digest`
+— and hands both in with the canonical spec, so nothing here recomputes
+them.  Partitioning solves are CPU-bound, so the intake path:
 
-1. **Coalesces** — every request is reduced to its canonical solve digest
-   (:meth:`~repro.serve.protocol.SolveSpec.canonical_digest`, the
-   symmetry-quotient identity); requests whose digest matches a queued or
-   in-flight job attach to that job's future instead of scheduling work.
-   Sixteen clients asking for translated — or reflected, or leading-axis
-   permuted — copies of the same stencil cost exactly one solve.
+1. **Coalesces** — requests whose digest matches a queued or in-flight
+   job attach to that job's future instead of scheduling work.  Sixteen
+   clients asking for translated — or reflected, or leading-axis permuted
+   — copies of the same stencil cost exactly one solve.
 2. **Micro-batches** — queued distinct jobs drain in batches (up to
    ``batch_max``) into one executor hop, so the event loop pays one
    thread handoff per batch, not per request.
-3. **Solves inline** — each batch runs through the DAG scheduler
-   (:func:`repro.sched.map_tasks`, digest-keyed) in the server process,
-   on the batch's executor thread, so solves share the in-memory solve
-   cache and metrics registry with the server.
-4. **Checks the store first** — a :class:`~repro.serve.store.SolutionStore`
-   hit resolves the job without any solve and seeds the in-memory cache,
-   which is what makes a warm restart serve its old working set with zero
-   new solves.
+3. **Checks the store first** — a :class:`~repro.serve.store.SolutionStore`
+   hit resolves the job without any solve, which is what makes a warm
+   restart serve its old working set with zero new solves.
+4. **Solves inline** — the misses run through the DAG scheduler
+   (:func:`repro.sched.map_tasks`, digest-keyed) in the server process, on
+   the batch's executor thread, with ``solve(..., cache=False)``: the
+   loop has already missed the in-memory cache for them.
+
+Every solution a batch produces — store hit or fresh solve — is put into
+the in-memory solve cache under the job's key, so the next request for it
+is answered on the loop.  The batch thread is the cache's one writer.
 
 Jobs resolve to *outcome tuples* — ``("ok", PartitionSolution)`` or
 ``("err", code, message)`` — rather than raised exceptions, because one
@@ -27,8 +32,8 @@ outcome may fan out to many waiters and an exception instance must not be
 shared across tasks that may add context to it.
 
 Backpressure is a hard bound on distinct queued-plus-in-flight jobs:
-:meth:`Coalescer.submit` raises :class:`QueueFullError` (the server maps
-it to ``429`` + ``Retry-After``) instead of queueing unboundedly.
+:meth:`Coalescer.submit_traced` raises :class:`QueueFullError` (the server
+maps it to ``429`` + ``Retry-After``) instead of queueing unboundedly.
 Attaching to an existing job is always allowed — it costs no work.
 """
 
@@ -39,7 +44,7 @@ import time
 from collections import OrderedDict
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Any, ContextManager, Dict, List, Optional, Tuple
+from typing import Any, ContextManager, Dict, Hashable, List, Optional, Tuple
 
 from ..core import cache as solve_cache
 from ..core.solver import solve
@@ -55,8 +60,9 @@ from .store import SolutionStore
 #: Outcome tuple: ("ok", solution) | ("err", code, message).
 Outcome = Tuple[Any, ...]
 
-#: A batch item: (digest, spec, trace id of the leader request or None).
-BatchItem = Tuple[str, SolveSpec, Optional[str]]
+#: A batch item: (digest, canonical solve key, canonical spec, trace id of
+#: the leader request or None).
+BatchItem = Tuple[str, Hashable, SolveSpec, Optional[str]]
 
 
 def _trace_ctx(trace_id: Optional[str]) -> "ContextManager[Any]":
@@ -77,6 +83,8 @@ class QueueFullError(ReproError):
 
 
 def _solve_outcome(spec: SolveSpec) -> Outcome:
+    # cache=False: the loop has already missed the in-memory cache for this
+    # key, and _execute_batch fills it with the result.
     try:
         result = solve(
             spec.pattern,
@@ -84,6 +92,7 @@ def _solve_outcome(spec: SolveSpec) -> Outcome:
             n_max=spec.n_max,
             objective=spec.objective,
             delta_max=spec.delta_max,
+            cache=False,
         )
         return ("ok", result.solution)
     except InfeasibleConstraintError as exc:
@@ -101,7 +110,7 @@ def _solve_task(item: BatchItem) -> Outcome:
     inherits no ambient state), so a ``serve.solve`` span recorded here
     lands in the requesting trace's tree.
     """
-    digest, spec, trace_id = item
+    digest, _key, spec, trace_id = item
     if not obs_state.enabled():
         return _solve_outcome(spec)
     with _trace_ctx(trace_id):
@@ -130,40 +139,45 @@ def _execute_batch(
 ) -> Dict[str, Outcome]:
     """Resolve one micro-batch of distinct jobs (runs on an executor thread).
 
-    Store hits short-circuit and seed the in-memory solve cache.  The
-    remainder solves inline through the scheduler's
-    :func:`~repro.sched.map_tasks`, keyed by canonical digest (the
-    coalescer already deduplicates upstream, so the keys are belt-and-
-    braces against a caller that batches duplicates directly); the solve
-    itself fills the in-memory cache, and fresh solutions are persisted to
-    the store.  Each item carries its leader's trace id, so store lookups
-    and solves span into the right request tree even though the batch
-    serves many requests at once.
+    Store hits short-circuit.  The remainder solves inline through the
+    scheduler's :func:`~repro.sched.map_tasks`, keyed by canonical digest
+    (the coalescer already deduplicates upstream, so the keys are belt-and-
+    braces against a caller that batches duplicates directly), and fresh
+    solutions are persisted to the store.  Every solution, stored or
+    fresh, goes into the in-memory solve cache under its item's key.  Each
+    item carries its leader's trace id, so store lookups and solves span
+    into the right request tree even though the batch serves many requests
+    at once.
     """
     if solve_delay_s > 0:
         time.sleep(solve_delay_s)
+    memory = solve_cache.cache()
     outcomes: Dict[str, Outcome] = {}
     to_solve: List[BatchItem] = []
-    for digest, spec, trace_id in batch:
+    for item in batch:
+        digest, key, spec, trace_id = item
         stored = (
             _store_lookup(store, digest, spec, trace_id)
             if store is not None
             else None
         )
         if stored is not None:
-            solve_cache.cache().put(spec.canonical_cache_key(), stored)
+            memory.put(key, stored)
             outcomes[digest] = ("ok", stored)
         else:
-            to_solve.append((digest, spec, trace_id))
+            to_solve.append(item)
     if to_solve:
         results = map_tasks(
             _solve_task,
             to_solve,
-            keys=[digest for digest, _spec, _tid in to_solve],
+            keys=[digest for digest, _key, _spec, _tid in to_solve],
         )
-        for (digest, spec, _trace_id), outcome in zip(to_solve, results):
+        for (digest, key, spec, _trace_id), outcome in zip(to_solve, results):
             outcomes[digest] = outcome
-            if outcome[0] == "ok" and store is not None:
+            if outcome[0] != "ok":
+                continue
+            memory.put(key, outcome[1])
+            if store is not None:
                 store.put(
                     digest,
                     outcome[1],
@@ -175,6 +189,7 @@ def _execute_batch(
 @dataclass
 class _Job:
     spec: SolveSpec
+    key: Hashable
     future: "asyncio.Future[Outcome]"
     trace_id: Optional[str] = None
     submitted_at: float = 0.0
@@ -192,8 +207,8 @@ class _Flight:
 class Coalescer:
     """Single-event-loop intake queue; see the module docstring.
 
-    Not thread-safe by design: :meth:`submit` must be called from the
-    event loop that runs :meth:`run` (the store and solve tiers it drives
+    Not thread-safe by design: :meth:`submit_traced` must be called from
+    the event loop that runs :meth:`run` (the store and solve tiers it drives
     *are* thread safe).
     """
 
@@ -226,22 +241,21 @@ class Coalescer:
         """Distinct jobs queued or in flight (the backpressure quantity)."""
         return len(self._queued) + len(self._inflight)
 
-    def submit(
-        self, spec: SolveSpec, trace_id: Optional[str] = None
-    ) -> "asyncio.Future[Outcome]":
-        """Queue a solve (or attach to its in-flight twin); returns its future.
-
-        The returned future is shared between every coalesced requester —
-        callers must not cancel it directly (wrap waits in
-        ``asyncio.shield``) and must re-attach their own pattern to the
-        resulting canonical solution.
-        """
-        return self.submit_traced(spec, trace_id)[0]
-
     def submit_traced(
-        self, spec: SolveSpec, trace_id: Optional[str] = None
+        self,
+        spec: SolveSpec,
+        key: Hashable,
+        digest: str,
+        trace_id: Optional[str] = None,
     ) -> Tuple["asyncio.Future[Outcome]", Optional[str]]:
-        """:meth:`submit`, also reporting who owns the solve's trace.
+        """Queue a canonical solve (or attach to its twin); returns its future.
+
+        ``spec`` is the canonical-frame spec, ``key`` its canonical solve
+        key and ``digest`` the key's :func:`~repro.core.cache.stable_digest`
+        — the caller computes them once per request.  The returned future
+        is shared between every coalesced requester: callers must not
+        cancel it directly (wrap waits in ``asyncio.shield``) and must map
+        the canonical solution back into their own frame.
 
         Returns ``(future, leader_trace_id)``: ``leader_trace_id`` is
         ``None`` when this request *is* the leader (it scheduled the job,
@@ -257,7 +271,6 @@ class Coalescer:
                 ("err", ERROR_SHUTTING_DOWN, "server is shutting down")
             )
             return future, None
-        digest = spec.canonical_digest()
         inflight = self._inflight.get(digest)
         if inflight is not None:
             registry.counter("serve.coalesce.attached").inc()
@@ -272,6 +285,7 @@ class Coalescer:
         loop = asyncio.get_running_loop()
         job = _Job(
             spec=spec,
+            key=key,
             future=loop.create_future(),
             trace_id=trace_id,
             submitted_at=time.monotonic(),
@@ -299,7 +313,7 @@ class Coalescer:
                         trace_id=job.trace_id,
                         started_at=time.monotonic(),
                     )
-                    batch.append((digest, job.spec, job.trace_id))
+                    batch.append((digest, job.key, job.spec, job.trace_id))
                     futures[digest] = job.future
                 if not self._queued:
                     self._wake.clear()
@@ -317,7 +331,7 @@ class Coalescer:
                 except Exception as exc:  # noqa: BLE001 - keep the loop alive
                     outcomes = {
                         digest: ("err", ERROR_INTERNAL, f"batch failed: {exc}")
-                        for digest, _spec, _tid in batch
+                        for digest, _key, _spec, _tid in batch
                     }
                 for digest, future in futures.items():
                     self._inflight.pop(digest, None)

@@ -1,19 +1,23 @@
 """The asyncio partitioning service: HTTP/1.1 over stdlib streams.
 
 One process, one event loop, one batch pipeline.  Connection handlers
-parse requests, enforce deadlines and backpressure, and await shared solve
-futures; all CPU-bound work (solves, simulations, Table 1) happens on
+parse requests, compute each request's canonical identity once, enforce
+deadlines, and answer repeats straight from the in-memory solve cache on
+the loop — no queue, no executor hop, no store read.  Everything else
+goes through the coalescer (backpressure, shared solve futures), and all
+CPU-bound work (solves, store reads, simulations, Table 1) happens on
 executor threads, so intake stays responsive under load.
 
 Endpoints
 ---------
 ``POST /solve``
-    Body: a solve spec (see :mod:`repro.serve.protocol`).  Coalesced,
-    batched, cached (memory + store).  200 with the solution document, or
-    a structured error (400/422/429/503/504).
+    Body: a solve spec (see :mod:`repro.serve.protocol`).  Answered from
+    memory on the loop when cached, else coalesced, batched, and looked up
+    in the store before solving.  200 with the solution document, or a
+    structured error (400/422/429/503/504).
 ``POST /simulate``
-    A solve spec with mandatory ``shape`` plus sweep knobs; the solve goes
-    through the same coalescing path, then the cycle simulation runs on an
+    A solve spec with mandatory ``shape`` plus sweep knobs; the solve takes
+    the same path as ``/solve``, then the cycle simulation runs on an
     executor thread.  Returns solution + simulation report.
 ``POST /table1``
     ``{"benchmarks": [...], "repetitions": k}`` — regenerates Table 1 rows
@@ -30,7 +34,8 @@ Endpoints
     a bounded ring of recent end-to-end request span trees (requires
     observability, ``REPRO_OBS=1``); ``/debug/inflight`` the coalescer's
     queued/in-flight jobs with ages and trace ids; ``/debug/store`` the
-    solution store's occupancy and hit-rate.
+    solution store's occupancy and hit-rate, plus the canonical groups
+    (recorded per request only when ``debug`` is on).
 
 Tracing: with observability enabled every request is assigned a trace id
 (returned in the response payload as ``trace_id``).  The id travels with
@@ -175,6 +180,15 @@ async def read_http_request(
     return method.upper(), target, headers, body
 
 
+def _wants_close(connection: str) -> bool:
+    """True when a ``Connection`` header value lists the ``close`` option.
+
+    Connection options are a comma-separated list of case-insensitive
+    tokens (RFC 9110 §7.6.1), so ``Close`` and ``TE, close`` both count.
+    """
+    return any(token.strip().lower() == "close" for token in connection.split(","))
+
+
 def write_http_response(
     writer: asyncio.StreamWriter,
     status: int,
@@ -239,7 +253,8 @@ class PartitionServer:
         )
         # canonical digest -> distinct caller (translation-level) digests
         # seen for it; sizes > 1 mean the symmetry quotient is collapsing
-        # reflected/permuted variants onto one solve.
+        # reflected/permuted variants onto one solve.  Recorded only under
+        # debug: its one reader is /debug/store.
         self._canon_groups: "OrderedDict[str, set]" = OrderedDict()
         self._coalescer_config = dict(
             batch_max=batch_max,
@@ -323,7 +338,7 @@ class PartitionServer:
                 if request is None:
                     break
                 method, target, headers, body = request
-                keep_alive = headers.get("connection", "keep-alive") != "close"
+                keep_alive = not _wants_close(headers.get("connection", ""))
                 status, payload, extra = await self._route(method, target, body)
                 write_http_response(writer, status, payload, extra, keep_alive)
                 await writer.drain()
@@ -471,24 +486,39 @@ class PartitionServer:
     async def _await_solution(
         self, spec: SolveSpec, deadline: Optional[float], ctx: _RequestContext
     ) -> Tuple[Any, str]:
-        """Submit a spec and await its (shared) outcome under the deadline.
+        """Answer a spec from memory, or submit it and await its shared outcome.
 
-        The spec is reduced to its canonical-frame twin before intake, so
-        requests that differ by translation, reflection, or leading-axis
-        permutation coalesce onto one solve; the shared canonical solution
-        is mapped back through the spec's own
+        The spec is reduced to its canonical-frame twin once, and its
+        canonical solve key and digest are computed once, here.  So requests
+        that differ by translation, reflection, or leading-axis permutation
+        share one cache entry and coalesce onto one solve.  The shared
+        canonical solution is mapped back through the spec's own
         :class:`~repro.core.cache.SymmetryOp` — bit-identical to what a
-        direct in-process solve of the caller's pattern returns.  Returns
+        direct in-process solve of the caller's pattern returns.
+
+        Order: identity, then the expired-deadline check, then the
+        in-memory solve cache — a hit is answered right here on the loop
+        (no coalescer job, executor hop, or store read) — and only a miss
+        is submitted to the coalescer with its key and digest.  Returns
         ``(solution_in_caller_frame, canonical_digest)``.  When the request
         coalesces onto another request's in-flight job, the leader's trace
         id lands in ``ctx.links``.
         """
         assert self.coalescer is not None
         canon_spec, op = spec.canonicalized()
-        digest = canon_spec.canonical_digest()
-        self._note_canon_group(digest, spec)
-        # An already-expired deadline is rejected before intake so a dead
-        # request never consumes queue capacity.
+        key = solve_cache.canonical_solve_key(
+            canon_spec.pattern.offsets,
+            canon_spec.shape[-1] if canon_spec.shape else None,
+            canon_spec.n_max,
+            canon_spec.objective.value,
+            canon_spec.delta_max,
+        )
+        digest = solve_cache.stable_digest(key)
+        if self.debug:
+            self._note_canon_group(digest, spec)
+        # An already-expired deadline is rejected before any lookup, so a
+        # dead request never consumes queue capacity and a cached answer
+        # does not mask the deadline.
         remaining = None if deadline is None else deadline - time.monotonic()
         if remaining is not None and remaining <= 0:
             obs_registry().counter("serve.deadline.expired").inc()
@@ -496,9 +526,16 @@ class PartitionServer:
                 HTTP_STATUS[ERROR_DEADLINE],
                 error_payload(ERROR_DEADLINE, "deadline expired before solve"),
             )
+        hit = solve_cache.cache().get(key, canon_spec.pattern)
+        if hit is not None:
+            if self.store is not None:
+                # Keep the store's eviction order honest: a key served from
+                # memory never reaches SolutionStore.get.
+                self.store.touch(digest)
+            return op.solution_to_caller(hit, spec.pattern), digest
         try:
             future, leader_trace = self.coalescer.submit_traced(
-                canon_spec, trace_id=ctx.trace_id
+                canon_spec, key, digest, trace_id=ctx.trace_id
             )
             if (
                 leader_trace is not None

@@ -20,7 +20,10 @@ Properties the server relies on:
 * **LRU-bounded** — at most ``max_entries`` artifacts; access order is
   tracked in memory and persisted via file mtimes, so the LRU order
   survives restarts (coarsely — mtime granularity — which is fine for an
-  eviction heuristic).
+  eviction heuristic).  The server answers repeats from its in-memory
+  solve cache without reading the store, and reports those hits through
+  :meth:`SolutionStore.touch`, which moves the key in memory only: mtimes
+  refresh on store reads and writes.
 * **Self-healing** — a corrupt or hand-edited artifact fails
   :func:`~repro.io.solution_from_dict` validation, is deleted, and counts
   as a miss; the server then just re-solves.
@@ -139,6 +142,18 @@ class SolutionStore:
             obs_registry().log_histogram("serve.store.get_ms").observe(
                 (time.perf_counter() - started) * 1000.0
             )
+
+    def touch(self, digest: str) -> None:
+        """Mark ``digest`` most recently used, without any file I/O.
+
+        For hits answered from the in-memory solve cache, which never
+        reach :meth:`get`: without this, a hot key's artifact would age to
+        the least-recent end and be evicted by newer writes.  Unknown
+        digests are ignored; the on-disk mtime is left as it is.
+        """
+        with self._lock:
+            if digest in self._index:
+                self._index.move_to_end(digest)
 
     def _validate(self, digest: str, payload: Any) -> PartitionSolution:
         if not isinstance(payload, dict) or payload.get("format") != _FORMAT:

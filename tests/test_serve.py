@@ -17,6 +17,7 @@ import time
 
 import pytest
 
+from repro.core import Pattern
 from repro.core.cache import solve_key, stable_digest
 from repro.core.solver import Objective, solve
 from repro.core.vectorized import DEFAULT_CHUNK_ELEMENTS
@@ -302,6 +303,32 @@ class TestHttpFraming:
         assert b"Connection: close" in head.split(b"\r\n")
         assert json.loads(body)["error"]["code"] == "bad_request"
 
+    @pytest.mark.parametrize("value", ["Close", "CLOSE", "TE, close"])
+    def test_connection_close_option_is_case_insensitive(self, server, value):
+        body = b'{"benchmark": "se"}'
+        with socket.create_connection(("127.0.0.1", server.port), timeout=10) as sock:
+            sock.sendall(
+                b"POST /solve HTTP/1.1\r\nContent-Length: %d\r\n"
+                b"Connection: %s\r\n\r\n%s" % (len(body), value.encode(), body)
+            )
+            reply = b""
+            while b"\r\n\r\n" not in reply:
+                reply += sock.recv(65536)
+            head, _, rest = reply.partition(b"\r\n\r\n")
+            lines = head.split(b"\r\n")
+            length = next(
+                int(line.split(b":", 1)[1])
+                for line in lines
+                if line.lower().startswith(b"content-length:")
+            )
+            while len(rest) < length:
+                rest += sock.recv(65536)
+            assert lines[0].startswith(b"HTTP/1.1 200 "), reply
+            assert b"Connection: close" in lines
+            assert json.loads(rest)["solution"]["n_banks"] == 5
+            # ... and the server closes its end instead of idling.
+            assert sock.recv(1) == b""
+
 
 def _scheduled() -> int:
     return registry().snapshot()["counters"].get("serve.coalesce.scheduled", 0)
@@ -340,6 +367,16 @@ class TestDeadlines:
                 health = client.healthz()
                 assert health["pending"] == 0
                 assert health["store"]["entries"] == 0
+
+    def test_expired_deadline_beats_a_cached_answer(self, tmp_path):
+        with serve_in_thread(store_dir=str(tmp_path / "s")) as srv:
+            with ServeClient(port=srv.port) as client:
+                client.solve(benchmark="log", n_max=10)  # now memory-resident
+                before = _scheduled()
+                with pytest.raises(DeadlineExceededError) as info:
+                    client.solve(benchmark="log", n_max=10, timeout_ms=0)
+                assert info.value.http_status == 504
+                assert _scheduled() == before
 
     def test_expired_in_flight_is_504_but_solve_completes(self, tmp_path):
         with serve_in_thread(
@@ -409,6 +446,48 @@ class TestWarmRestart:
         # canonical content identical; only the attached pattern differs
         assert doc["solution"]["n_banks"] == first["solution"]["n_banks"]
         assert doc["key"] == first["key"]
+
+
+#: A chiral stencil and its axis-0 mirror: one symmetry orbit, two
+#: translation classes, so one canonical solve serves both.
+_CORNER = Pattern([(0, 0), (0, 1), (1, 0)], name="corner")
+_MIRRORED = Pattern([(0, 0), (0, 1), (-1, 0)], name="mirrored")
+
+
+class TestMemoryTier:
+    """Repeats are answered from the in-memory solve cache, on the loop."""
+
+    def test_repeats_and_reflections_skip_the_coalescer_and_store(self, tmp_path):
+        patterns = [_CORNER, _CORNER, _CORNER, _MIRRORED]
+        before = _scheduled()
+        with serve_in_thread(store_dir=str(tmp_path / "store")) as srv:
+            with ServeClient(port=srv.port) as client:
+                docs = [
+                    client.solve(pattern=pattern, shape=(24, 24), n_max=8)
+                    for pattern in patterns
+                ]
+                store = client.healthz()["store"]
+        assert _scheduled() - before == 1
+        assert store["hits"] == 0
+        assert store["entries"] == 1
+        assert len({doc["key"] for doc in docs}) == 1
+        # Each reply is a cold solve of its own spec, in its own frame.
+        for pattern, doc in zip(patterns, docs):
+            direct = solve(pattern, shape=(24, 24), n_max=8, cache=False)
+            assert solution_from_dict(doc["solution"]) == direct.solution
+
+    def test_memory_hits_keep_the_store_artifact_fresh(self, tmp_path):
+        store_dir = tmp_path / "store"
+        with serve_in_thread(store_dir=str(store_dir), store_max_entries=2) as srv:
+            with ServeClient(port=srv.port) as client:
+                a = client.solve(benchmark="log", n_max=10)["key"]
+                b = client.solve(benchmark="se")["key"]
+                assert client.solve(benchmark="log", n_max=10)["key"] == a
+                client.solve(benchmark="median")
+        # The repeat of A was answered from memory, yet B is the store's
+        # least recently used entry when C's write evicts one.
+        assert (store_dir / f"{a}.json").exists()
+        assert not (store_dir / f"{b}.json").exists()
 
 
 class TestSimulateEndpoint:

@@ -17,6 +17,9 @@ import threading
 import pytest
 
 from repro import obs
+from repro.core import Pattern, solve_cache
+from repro.core.solver import solve
+from repro.patterns import se_pattern
 from repro.sched import TASK_HISTOGRAM, map_tasks
 from repro.serve import ServeClient, ServeError, serve_in_thread
 
@@ -51,6 +54,10 @@ def count_solves(monkeypatch):
 
     monkeypatch.setattr(solver_mod, "_solve_impl", counting)
     return calls
+
+
+def _counter(name):
+    return obs.registry().snapshot()["counters"].get(name, 0)
 
 
 def _span_names(node):
@@ -217,6 +224,23 @@ class TestDebugSurface:
                 assert store["bytes"] > 0
                 assert store["hit_rate"] == 0.0  # one lookup, one miss
 
+    def test_debug_store_counts_canonical_groups(self, tmp_path):
+        corner = Pattern([(0, 0), (0, 1), (1, 0)], name="corner")
+        mirrored = Pattern([(0, 0), (0, 1), (-1, 0)], name="mirrored")
+        with serve_in_thread(store_dir=str(tmp_path / "s"), debug=True) as srv:
+            with ServeClient(port=srv.port) as client:
+                client.solve(pattern=corner)
+                client.solve(pattern=mirrored)  # same orbit, answered from memory
+                groups = client.debug_store()["canonical_groups"]
+        assert groups["groups"] == 1
+        assert groups["collapsed"] == 1
+        assert groups["max_size"] == 2
+        # Without --debug nothing can read the groups, so none are kept.
+        with serve_in_thread(store_dir=str(tmp_path / "t")) as srv:
+            with ServeClient(port=srv.port) as client:
+                client.solve(pattern=corner)
+            assert len(srv.server._canon_groups) == 0
+
     def test_trace_buffer_is_bounded(self, telemetry, tmp_path):
         with serve_in_thread(
             store_dir=str(tmp_path / "s"), debug=True, trace_buffer_size=3
@@ -270,6 +294,9 @@ class TestServeMetrics:
         with serve_in_thread(store_dir=str(tmp_path / "s")) as srv:
             with ServeClient(port=srv.port) as client:
                 client.solve(benchmark="median")  # miss + write
+                # Drop the in-memory answer, as a restart would: the repeat
+                # then reaches the store instead of being served from memory.
+                solve_cache.clear()
                 client.solve(benchmark="median")  # store hit, no re-solve
                 text = client.metrics_text()
         assert "repro_serve_store_misses_total 1" in text
@@ -280,16 +307,28 @@ class TestServeMetrics:
         assert "repro_serve_store_max_entries 4096" in text
 
     def test_warm_solves_record_the_warm_histogram(self):
-        # No store: the duplicate request re-enters the solver, whose
-        # in-memory cache hit lands in the warm histogram.  (With a store
-        # attached the second request is a store hit and never re-solves.)
+        # In process: the second solve() is an in-memory cache hit, which
+        # lands in the warm histogram.
+        solve(se_pattern())
+        solve(se_pattern())
+        hists = obs.registry().log_histograms()
+        assert hists["solve.cold_ms"].count == 1
+        assert hists["solve.warm_ms"].count == 1
+
+        # Served: the server answers the duplicate from the in-memory cache
+        # on its event loop and never re-enters solve(), so neither solver
+        # histogram moves; the lookup itself counts one cache hit.
+        solve_cache.clear()
         with serve_in_thread() as srv:
             with ServeClient(port=srv.port) as client:
                 client.solve(benchmark="se")
+                cold = obs.registry().log_histograms()["solve.cold_ms"].count
+                hits = _counter("solve.cache.hits")
                 client.solve(benchmark="se")
         hists = obs.registry().log_histograms()
-        assert hists["solve.cold_ms"].count >= 1
-        assert hists["solve.warm_ms"].count >= 1
+        assert hists["solve.cold_ms"].count == cold
+        assert hists["solve.warm_ms"].count == 1
+        assert _counter("solve.cache.hits") == hits + 1
 
 
 def _traced_double(x):
