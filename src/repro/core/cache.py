@@ -400,6 +400,17 @@ def _canonical(value: Any) -> Any:
     raise TypeError(f"cache keys may only contain JSON scalars, got {value!r}")
 
 
+#: The canonical JSON encoding every digest hashes, built once: compact,
+#: sorted keys, no NaN.  Its C encoder writes tuples as JSON arrays.
+_KEY_ENCODER = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), allow_nan=False
+)
+
+
+def _sha256_json(value: Any) -> str:
+    return hashlib.sha256(_KEY_ENCODER.encode(value).encode("utf-8")).hexdigest()
+
+
 def stable_digest(key: Hashable) -> str:
     """Content address of a cache key: a hex SHA-256, stable across processes.
 
@@ -411,7 +422,17 @@ def stable_digest(key: Hashable) -> str:
     instead.  Equal keys always produce equal digests; translated copies of
     a pattern share a digest because the key already normalizes translation.
     """
-    payload = json.dumps(
-        _canonical(key), sort_keys=True, separators=(",", ":"), allow_nan=False
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return _sha256_json(_canonical(key))
+
+
+def canonical_solve_digest(key: Hashable) -> str:
+    """:func:`stable_digest` of a :func:`canonical_solve_key` tuple, encoded directly.
+
+    The key holds only a str, ints, ``None`` and tuples of int tuples, all of
+    which the encoder writes exactly as :func:`_canonical` would reduce them,
+    so the bytes (and the digest) equal ``stable_digest(key)`` without the
+    recursive Python walk.  Only for keys built by :func:`canonical_solve_key`;
+    anything else goes through :func:`stable_digest`, whose walk rejects
+    what JSON cannot express faithfully.
+    """
+    return _sha256_json(key)

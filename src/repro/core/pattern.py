@@ -11,6 +11,7 @@ dictionary keys (e.g. memoizing partition solutions per pattern).
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from ..errors import DimensionMismatchError, PatternError
@@ -45,26 +46,26 @@ class Pattern:
         normalized: List[Offset] = []
         for raw in offsets:
             try:
-                vec = tuple(int(c) for c in raw)
+                normalized.append(tuple(map(int, raw)))
             except (TypeError, ValueError) as exc:
                 raise PatternError(f"offset {raw!r} is not an integer vector") from exc
-            if any(not isinstance(c, int) for c in vec):  # pragma: no cover - defensive
-                raise PatternError(f"offset {raw!r} is not an integer vector")
-            normalized.append(vec)
         if not normalized:
             raise PatternError("a pattern must contain at least one offset")
         ndim = len(normalized[0])
         if ndim == 0:
             raise PatternError("offsets must have at least one dimension")
-        for vec in normalized:
-            if len(vec) != ndim:
-                raise PatternError(
-                    f"ragged pattern: expected {ndim}-dimensional offsets, got {vec!r}"
-                )
+        if len(set(map(len, normalized))) != 1:
+            # Walk only to name the first offending offset.
+            for vec in normalized:
+                if len(vec) != ndim:
+                    raise PatternError(
+                        f"ragged pattern: expected {ndim}-dimensional offsets, got {vec!r}"
+                    )
         if len(set(normalized)) != len(normalized):
             raise PatternError("pattern contains duplicate offsets")
         # Canonical order makes equality/hash independent of input order.
-        self._offsets: Tuple[Offset, ...] = tuple(sorted(normalized))
+        normalized.sort()
+        self._offsets: Tuple[Offset, ...] = tuple(normalized)
         self._name = name
 
     # -- basic properties -------------------------------------------------
@@ -94,26 +95,22 @@ class Pattern:
     @property
     def mins(self) -> Offset:
         """Per-dimension minimum offset component."""
-        return tuple(min(v[j] for v in self._offsets) for j in range(self.ndim))
+        return tuple(map(min, zip(*self._offsets)))
 
     @property
     def maxs(self) -> Offset:
         """Per-dimension maximum offset component."""
-        return tuple(max(v[j] for v in self._offsets) for j in range(self.ndim))
+        return tuple(map(max, zip(*self._offsets)))
 
     @property
     def extents(self) -> Offset:
         """The paper's ``D_j = max Δ_j − min Δ_j + 1`` per dimension."""
-        lo, hi = self.mins, self.maxs
-        return tuple(hi[j] - lo[j] + 1 for j in range(self.ndim))
+        return tuple(max(axis) - min(axis) + 1 for axis in zip(*self._offsets))
 
     @property
     def bounding_box_volume(self) -> int:
         """Product of extents: size of the tightest enclosing box."""
-        vol = 1
-        for d in self.extents:
-            vol *= d
-        return vol
+        return math.prod(self.extents)
 
     # -- derived patterns ---------------------------------------------------
 

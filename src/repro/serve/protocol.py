@@ -28,6 +28,7 @@ canonical frame and mapped back into each requester's frame through its
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Any, Dict, Hashable, Optional, Tuple
@@ -94,6 +95,20 @@ def _is_int_list(value: Any) -> bool:
     return isinstance(value, (list, tuple)) and all(type(v) is int for v in value)
 
 
+def _is_int_rows(value: Any) -> bool:
+    """A list of :func:`_is_int_list` rows, in two C-level passes.
+
+    One pass checks every row with ``isinstance`` (so list and tuple
+    subclasses pass, as they do for :func:`_is_int_list`), the other
+    collects the exact types of all components, which must be ``{int}``.
+    """
+    return (
+        isinstance(value, (list, tuple))
+        and all(map(isinstance, value, itertools.repeat((list, tuple))))
+        and set(map(type, itertools.chain.from_iterable(value))) <= {int}
+    )
+
+
 def require_mapping(doc: Any) -> Dict[str, Any]:
     """Return ``doc`` if it is a JSON object, else raise :class:`BadRequestError`."""
     if not isinstance(doc, dict):
@@ -117,9 +132,7 @@ def parse_pattern(doc: Dict[str, Any]) -> Pattern:
         return benchmark_pattern(bench)
     if "offsets" in doc:
         offsets = doc["offsets"]
-        if not isinstance(offsets, (list, tuple)) or not all(
-            map(_is_int_list, offsets)
-        ):
+        if not _is_int_rows(offsets):
             raise BadRequestError(
                 f"offsets must be a list of integer lists, got {offsets!r}"
             )
@@ -244,6 +257,15 @@ def parse_solve_spec(doc: Any) -> SolveSpec:
     """Validate a ``solve`` request body."""
     doc = require_mapping(doc)
     pattern = parse_pattern(doc)
+    # Algorithm 1's histogram spans the largest pairwise difference, which
+    # grows with the bounding box: three far-apart offsets cost time linear
+    # in its volume.
+    volume = pattern.bounding_box_volume
+    if volume > DEFAULT_CHUNK_ELEMENTS:
+        raise BadRequestError(
+            f"pattern bounding box has {volume} elements, above the cap of "
+            f"{DEFAULT_CHUNK_ELEMENTS}"
+        )
     shape = _parse_shape(doc, pattern.ndim)
     objective_raw = doc.get("objective", Objective.LATENCY.value)
     try:

@@ -513,7 +513,7 @@ class PartitionServer:
             canon_spec.objective.value,
             canon_spec.delta_max,
         )
-        digest = solve_cache.stable_digest(key)
+        digest = solve_cache.canonical_solve_digest(key)
         if self.debug:
             self._note_canon_group(digest, spec)
         # An already-expired deadline is rejected before any lookup, so a

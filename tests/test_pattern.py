@@ -1,6 +1,9 @@
 """Unit tests for repro.core.pattern."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import Pattern
 from repro.errors import DimensionMismatchError, PatternError
@@ -52,6 +55,82 @@ class TestConstruction:
     def test_negative_offsets_allowed(self):
         p = Pattern([(-1, 0), (1, 0)])
         assert p.mins == (-1, 0)
+
+
+def _reference_offsets(offsets):
+    """The one-generator-per-offset constructor body, kept as the oracle."""
+    normalized = []
+    for raw in offsets:
+        try:
+            vec = tuple(int(c) for c in raw)
+        except (TypeError, ValueError) as exc:
+            raise PatternError(f"offset {raw!r} is not an integer vector") from exc
+        if any(not isinstance(c, int) for c in vec):
+            raise PatternError(f"offset {raw!r} is not an integer vector")
+        normalized.append(vec)
+    if not normalized:
+        raise PatternError("a pattern must contain at least one offset")
+    ndim = len(normalized[0])
+    if ndim == 0:
+        raise PatternError("offsets must have at least one dimension")
+    for vec in normalized:
+        if len(vec) != ndim:
+            raise PatternError(
+                f"ragged pattern: expected {ndim}-dimensional offsets, got {vec!r}"
+            )
+    if len(set(normalized)) != len(normalized):
+        raise PatternError("pattern contains duplicate offsets")
+    return tuple(sorted(normalized))
+
+
+#: Components ``int()`` accepts (truncating floats, parsing digit strings)...
+_VALID = st.one_of(
+    st.integers(-20, 20),
+    st.booleans(),
+    st.floats(-3, 3),
+    st.integers(-20, 20).map(np.int64),
+    st.integers(-20, 20).map(str),
+)
+#: ...and ones it rejects, with ``ValueError``, ``TypeError`` or ``OverflowError``.
+_INVALID = st.sampled_from([float("nan"), float("inf"), "x", "1.5", None])
+
+
+@st.composite
+def raw_offsets(draw):
+    """Offsets as callers pass them: list or tuple rows of one width or
+    ragged, sometimes a bare component in a row's place or a duplicate row,
+    now and then no rows at all."""
+    component = draw(st.sampled_from([_VALID, st.one_of(_VALID, _INVALID)]))
+    width = draw(st.integers(0, 3))
+    if draw(st.booleans()):
+        row = st.lists(component, min_size=width, max_size=width)
+    else:
+        row = st.lists(component, max_size=3)
+    row = st.one_of(row, row.map(tuple))
+    if draw(st.integers(0, 9)) == 0:
+        row = st.one_of(row, component)
+    rows = draw(st.lists(row, min_size=1, max_size=6)) if draw(st.integers(0, 9)) else []
+    if rows and draw(st.integers(0, 2)) == 0:
+        rows.append(draw(st.sampled_from(rows)))
+    return rows
+
+
+class TestConstructorEquivalence:
+    @given(raw_offsets(), st.sampled_from([list, tuple, iter]))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_reference_constructor(self, rows, container):
+        try:
+            expected = _reference_offsets(container(rows))
+        except Exception as exc:  # noqa: BLE001 - any failure must be mirrored
+            with pytest.raises(Exception) as info:
+                Pattern(container(rows))
+            assert type(info.value) is type(exc)
+            assert str(info.value) == str(exc)
+            return
+        pattern = Pattern(container(rows))
+        assert pattern.offsets == expected
+        assert pattern == Pattern(expected)
+        assert hash(pattern) == hash(Pattern(expected))
 
 
 class TestGeometry:

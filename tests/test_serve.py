@@ -16,6 +16,8 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import Pattern
 from repro.core.cache import solve_key, stable_digest
@@ -36,6 +38,7 @@ from repro.serve import (
     parse_solve_spec,
     serve_in_thread,
 )
+from repro.serve import protocol
 from repro.serve.protocol import request_payload
 from repro.serve.server import MAX_BODY_BYTES
 
@@ -67,7 +70,33 @@ def count_solves(monkeypatch):
     return calls
 
 
+def _reference_is_int_rows(value):
+    """The per-row offsets check the type-set test replaced, kept as the oracle."""
+    return isinstance(value, (list, tuple)) and all(
+        isinstance(row, (list, tuple)) and all(type(v) is int for v in row)
+        for row in value
+    )
+
+
+#: Decoded JSON values, plus lists of short rows so that accepted offsets
+#: and near misses (a bool, a float, a dict or a string row) are common.
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=2),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=10,
+)
+_OFFSET_LIKE = st.lists(
+    st.lists(st.integers(), max_size=3) | _JSON_VALUES, max_size=4
+)
+
+
 class TestProtocol:
+    @given(_OFFSET_LIKE | _JSON_VALUES)
+    @settings(max_examples=400, deadline=None)
+    def test_offsets_check_accepts_what_the_per_row_check_did(self, value):
+        assert protocol._is_int_rows(value) is _reference_is_int_rows(value)
+
     def test_solve_spec_identity_matches_cache_key(self):
         spec = parse_solve_spec({"benchmark": "log", "n_max": 10, "shape": [640, 480]})
         assert spec.cache_key() == solve_key(
@@ -110,6 +139,13 @@ class TestProtocol:
     def test_bad_solve_bodies(self, body):
         with pytest.raises(BadRequestError):
             parse_solve_spec(body)
+
+    def test_bounding_box_cap_counts_volume_inclusively(self):
+        parse_solve_spec({"offsets": [[0], [DEFAULT_CHUNK_ELEMENTS - 1]]})
+        parse_solve_spec({"offsets": [[0, 0], [511, 511]]})  # 512 * 512 = 2^18
+        for far in ([[0], [DEFAULT_CHUNK_ELEMENTS]], [[0, 0], [512, 511]]):
+            with pytest.raises(BadRequestError, match="bounding box"):
+                parse_solve_spec({"offsets": far})
 
     def test_simulate_requires_shape(self):
         with pytest.raises(BadRequestError, match="shape"):
@@ -244,6 +280,40 @@ class TestSolveEndpoint:
         assert status == 400, data
         assert json.loads(data)["error"]["code"] == "bad_request"
         assert _scheduled() == before
+
+    @pytest.mark.parametrize("far", [1 << 20, 1 << 40], ids=["2^20", "2^40"])
+    def test_spread_out_pattern_is_400_before_any_solve(self, client, far):
+        """Three offsets, yet Algorithm 1's histogram would span ``far``."""
+        before = _scheduled()
+        status, data, _ = client._request(
+            "POST", "/solve", {"offsets": [[0], [1], [far]]}
+        )
+        assert status == 400, data
+        error = json.loads(data)["error"]
+        assert error["code"] == "bad_request"
+        assert "bounding box" in error["message"]
+        assert _scheduled() == before
+
+    @pytest.mark.parametrize(
+        "offsets, message",
+        [
+            ([[1.5]], "offsets must be a list of integer lists, got [[1.5]]"),
+            ([[True]], "offsets must be a list of integer lists, got [[True]]"),
+            ([["1"]], "offsets must be a list of integer lists, got [['1']]"),
+            ([1, 2], "offsets must be a list of integer lists, got [1, 2]"),
+            (
+                [[0], [0, 1]],
+                "bad offsets: ragged pattern: expected 1-dimensional offsets, got (0, 1)",
+            ),
+            ([[0], [0]], "bad offsets: pattern contains duplicate offsets"),
+            ([], "bad offsets: a pattern must contain at least one offset"),
+        ],
+        ids=["float", "bool", "string", "flat", "ragged", "duplicate", "empty"],
+    )
+    def test_offsets_rejects_keep_their_messages(self, client, offsets, message):
+        status, data, _ = client._request("POST", "/solve", {"offsets": offsets})
+        assert status == 400, data
+        assert json.loads(data)["error"] == {"code": "bad_request", "message": message}
 
     def test_slack_latency_n_max_is_not_bounded(self, client):
         """Latency sweeps only below N_f, so a huge slack ceiling is cheap."""
@@ -488,6 +558,20 @@ class TestMemoryTier:
         # least recently used entry when C's write evicts one.
         assert (store_dir / f"{a}.json").exists()
         assert not (store_dir / f"{b}.json").exists()
+
+    def test_replies_and_artifact_carry_the_golden_digest(self, tmp_path):
+        """The served identity is pinned: a cold reply, a moved variant's
+        memory hit and the store artifact all use the same golden digest."""
+        golden = "b1b395500d9c2b1b05189f542e036820b30267236944d0993a9324377b8d98ad"
+        store_dir = tmp_path / "store"
+        with serve_in_thread(store_dir=str(store_dir)) as srv:
+            with ServeClient(port=srv.port) as client:
+                keys = [
+                    client.solve(pattern=pattern, shape=(640, 480))["key"]
+                    for pattern in (log_pattern(), log_pattern().translated((3, 5)))
+                ]
+        assert keys == [golden, golden]
+        assert [path.name for path in store_dir.glob("*.json")] == [f"{golden}.json"]
 
 
 class TestSimulateEndpoint:

@@ -6,11 +6,17 @@ import dataclasses
 import importlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import Objective, partition, solve, solve_cache
 from repro.core.cache import (
     DEFAULT_MAXSIZE,
     SolveCache,
+    canonical_key,
+    canonical_solve_digest,
+    canonical_solve_key,
+    canonicalize,
     partition_key,
     solve_key,
     stable_digest,
@@ -21,6 +27,7 @@ from repro.eval.sweeps import overhead_vs_banks, throughput_vs_unroll
 from repro.io import pattern_from_dict, pattern_to_dict
 from repro.obs import metrics as obs_metrics
 from repro.patterns import log_pattern, se_pattern
+from repro.verify.gen import symmetry_variants
 
 
 @pytest.fixture()
@@ -263,3 +270,76 @@ class TestStableDigest:
             stable_digest(object())
         with pytest.raises((TypeError, ValueError)):
             stable_digest(float("nan"))
+        with pytest.raises(TypeError):
+            stable_digest({1: "a"})  # JSON would silently write {"1":"a"}
+
+
+CHIRAL_F = Pattern(((0, 1), (0, 2), (1, 0), (1, 1), (2, 1)), name="chiral_f")
+SKEW_3D = Pattern([(0, 0, 0), (0, 1, 2), (1, 0, 1), (2, 1, 0)], name="skew3d")
+
+
+def _first_reflection(pattern, shape):
+    _tag, variant, v_shape = symmetry_variants(pattern, shape, "reflection")[0]
+    return variant, v_shape
+
+
+class TestCanonicalDigest:
+    """The orbit-wide digest that names every served store artifact.
+
+    Each golden value pins both encodings of one canonical key: the
+    direct one the server uses and :func:`stable_digest`'s walk.
+    """
+
+    @pytest.mark.parametrize(
+        "pattern, shape, n_max, objective, delta_max, golden",
+        [
+            (
+                log_pattern(), (640, 480), None, "latency", 0,
+                "b1b395500d9c2b1b05189f542e036820b30267236944d0993a9324377b8d98ad",
+            ),
+            (
+                CHIRAL_F, (1080, 1920), 3, "banks", 1,
+                "96f7de1a8abd1a50b9aff9776c81090b661c0f943971efdbcd479cab81576895",
+            ),
+            (
+                *_first_reflection(CHIRAL_F, (1080, 1920)), 3, "banks", 1,
+                "96f7de1a8abd1a50b9aff9776c81090b661c0f943971efdbcd479cab81576895",
+            ),
+            (
+                SKEW_3D, (16, 24, 60), 12, "storage", 0,
+                "659e6d3ccd9a5f01cfcee119997578621a26d536cb2adfdf9e63559992bdd23f",
+            ),
+            (
+                SKEW_3D.permuted([1, 0, 2]).reflected([0]), (24, 16, 60), 12, "storage", 0,
+                "659e6d3ccd9a5f01cfcee119997578621a26d536cb2adfdf9e63559992bdd23f",
+            ),
+            (
+                Pattern([(0,), (1,), (3,), (7,)]), None, None, "latency", 0,
+                "ab42de3c9fb096a86bf5ebbe82be31906934df439d1066fb908c7d3178743c23",
+            ),
+        ],
+        ids=["log", "chiral-f", "chiral-f-reflected", "3d-storage", "3d-storage-moved", "1d-no-shape"],
+    )
+    def test_golden_values(self, pattern, shape, n_max, objective, delta_max, golden):
+        key = canonical_key(pattern, shape, n_max, objective, delta_max)
+        assert canonical_solve_digest(key) == golden
+        assert stable_digest(key) == golden
+
+    @given(
+        offsets=st.integers(1, 4).flatmap(
+            lambda ndim: st.sets(
+                st.tuples(*[st.integers(-(2**40), 2**40)] * ndim), min_size=1, max_size=8
+            )
+        ),
+        tail=st.none() | st.integers(1, 2**40),
+        n_max=st.none() | st.integers(1, 2**40),
+        objective=st.sampled_from([o.value for o in Objective]),
+        delta_max=st.integers(0, 2**20),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_direct_encoding_matches_stable_digest(
+        self, offsets, tail, n_max, objective, delta_max
+    ):
+        canon, _op = canonicalize(Pattern(offsets))
+        key = canonical_solve_key(canon.offsets, tail, n_max, objective, delta_max)
+        assert canonical_solve_digest(key) == stable_digest(key)
