@@ -5,15 +5,14 @@
 install:
 	python setup.py develop
 
-# Optional compiled fast tier (engine="native"; docs/PERFORMANCE.md).
-# Needs a C compiler; everything keeps working without it — engine="auto"
-# falls back to the NumPy engines when the extension is absent.
+# The C extension (engine="native"; docs/PERFORMANCE.md) is compiled on
+# first use into a per-user cache.  build-ext pre-warms that cache (and
+# fails if this host cannot build it); clean-ext deletes it.
 build-ext:
-	REPRO_BUILD_NATIVE=1 python setup.py build_ext --inplace
+	PYTHONPATH=src python -c "from repro import native; native.require()"
 
 clean-ext:
-	rm -f src/repro/native/_native*.so src/repro/native/_native*.pyd
-	rm -rf build
+	PYTHONPATH=src python -c "import shutil; from repro import native; shutil.rmtree(native.cache_dir())"
 
 test:
 	pytest tests/

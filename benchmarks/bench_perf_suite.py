@@ -96,9 +96,10 @@ def _best_of(fn, repeat: int) -> float:
 def _native_sim_columns(
     mapping: BankMapping, scalar_report, scalar_s: float, repeat: int
 ) -> Dict[str, Any]:
-    """``native_*`` columns for a simulate row, or ``{}`` when not built.
+    """``native_*`` columns for a simulate row, or ``{}`` when the
+    extension is unavailable.
 
-    The native columns are *additive*: a tree without the extension emits
+    The native columns are *additive*: a host without the extension emits
     the same document minus these keys, and ``repro-bench-check`` treats
     them as optional (gated only when present).
     """

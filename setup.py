@@ -1,34 +1,11 @@
-"""Legacy setup shim + optional native-extension build.
+"""Legacy setup shim.
 
-The primary build configuration lives in pyproject.toml.  This file exists
-so that environments without the `wheel` package (where PEP 660 editable
-installs fail) can still do `python setup.py develop`, and to carry the
-*optional* compiled fast tier (`repro.native._native`).
-
-The extension is never built by default — a plain install must work on
-boxes without a C compiler.  It is compiled only when explicitly requested:
-
-    make build-ext
-    # or: REPRO_BUILD_NATIVE=1 python setup.py build_ext --inplace
-
-Without the extension, `engine="auto"` uses the NumPy engines and
-`engine="native"` raises NativeUnavailableError (see docs/PERFORMANCE.md).
+The build configuration lives in pyproject.toml.  This file exists so that
+environments without the `wheel` package (where PEP 660 editable installs
+fail) can still do `python setup.py develop`.  The C extension is not built
+here: `repro.native` compiles it with the host C compiler on first use (see
+docs/PERFORMANCE.md, "Native tier").
 """
-import os
-import sys
-
 from setuptools import setup
 
-ext_modules = []
-if os.environ.get("REPRO_BUILD_NATIVE") == "1" or "build_ext" in sys.argv:
-    from setuptools import Extension
-
-    ext_modules.append(
-        Extension(
-            "repro.native._native",
-            sources=["src/repro/native/_nativemodule.c"],
-            extra_compile_args=["-O3"],
-        )
-    )
-
-setup(ext_modules=ext_modules)
+setup()

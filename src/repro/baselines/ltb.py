@@ -54,7 +54,7 @@ from ..core.vectorized import chunk_budget
 from ..errors import PartitioningError
 
 #: Engine names accepted by :func:`ltb_partition`.  ``"native"`` is the
-#: optional compiled tier (:mod:`repro.native`): the whole per-``N`` scan —
+#: compiled tier (:mod:`repro.native`): the whole per-``N`` scan —
 #: odometer enumeration, residue check, first-duplicate detection — runs in
 #: C, with charges identical to both Python engines.
 LTB_ENGINES = ("auto", "scalar", "vectorized", "native")
@@ -148,11 +148,10 @@ def _search_scalar(
 def resolve_ltb_engine(engine: str = "auto") -> str:
     """Concrete engine :func:`ltb_partition` will run.
 
-    ``"auto"`` prefers ``native`` when the compiled extension is usable
-    (built, importable, not disabled via ``REPRO_NATIVE=0``) and falls back
-    to ``vectorized`` silently otherwise; forcing ``engine="native"``
-    without a usable extension raises
-    :class:`~repro.errors.NativeUnavailableError`.
+    ``"auto"`` prefers ``native`` when the compiled extension loads (it is
+    built on first use, :mod:`repro.native`) and falls back to
+    ``vectorized`` silently otherwise; forcing ``engine="native"`` without
+    it raises :class:`~repro.errors.NativeUnavailableError`.
     """
     if engine not in LTB_ENGINES:
         raise ValueError(
@@ -163,7 +162,7 @@ def resolve_ltb_engine(engine: str = "auto") -> str:
     if engine == "auto":
         return "native" if native.available() else "vectorized"
     if engine == "native":
-        native.require()  # NativeUnavailableError when absent or disabled
+        native.require()  # NativeUnavailableError when it cannot load
     return engine
 
 

@@ -219,6 +219,6 @@ register_bulk_kernel(BlockBankMapping, _block_kernel)
 
 # The same types also opt into the compiled tier's fused trace kernel
 # (engine="native"); registration is pure metadata and costs nothing when
-# the extension is not built.
+# the extension cannot load.
 register_native_spec(CyclicBankMapping, _cyclic_spec)
 register_native_spec(BlockBankMapping, _block_spec)

@@ -143,8 +143,8 @@ def compare_documents(
     A workload present in the baseline but missing from the candidate is a
     regression (the bench silently disappearing must not pass the gate) —
     except for checks marked ``optional``, which are *skipped* when absent
-    from the candidate (the native engine's columns only exist on trees
-    with the extension built) but still gate whenever present.
+    from the candidate (the native engine's columns only exist where the
+    extension loads) but still gate whenever present.
     """
     if slack <= 1.0:
         raise ValueError(f"slack must be > 1.0, got {slack}")
@@ -174,7 +174,7 @@ def compare_documents(
                         skipped=True,
                         reason=(
                             "optional metric absent from the candidate run "
-                            "(native extension not built here)"
+                            "(native extension unavailable here)"
                         ),
                     )
                 else:

@@ -48,7 +48,8 @@ class HLSError(ReproError, ValueError):
 class NativeUnavailableError(ReproError, RuntimeError):
     """``engine="native"`` was requested but the compiled extension cannot run.
 
-    Raised when the optional C extension (:mod:`repro.native`) is not built
-    or is disabled via ``REPRO_NATIVE=0``.  ``engine="auto"`` never raises
-    this — it falls back to the NumPy engines silently.
+    Raised when the C extension (:mod:`repro.native`) could not be built or
+    loaded, for example on a host without a C compiler; the message names
+    the reason.  ``engine="auto"`` never raises this — it falls back to the
+    NumPy engines silently.
     """

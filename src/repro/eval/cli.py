@@ -45,7 +45,7 @@ def _add_ltb_engine(parser: argparse.ArgumentParser) -> None:
         default="auto",
         help="LTB search engine for the instrumented run (identical results; "
         "reported LTB times always measure the scalar reference; native "
-        "requires the compiled extension, see `make build-ext`)",
+        "requires the C extension, built on first use)",
     )
 
 
@@ -402,7 +402,7 @@ def main_profile(argv: Sequence[str] | None = None) -> int:
         default="auto",
         help="simulation engine (identical reports; scalar shows the "
         "reference span tree, vectorized the fast path, native the "
-        "compiled extension — see `make build-ext`)",
+        "C extension, built on first use)",
     )
     _add_emit_metrics(parser)
     args = parser.parse_args(argv)

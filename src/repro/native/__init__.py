@@ -1,19 +1,25 @@
-"""Optional compiled fast tier (``engine="native"``).
+"""Compiled fast tier (``engine="native"``), built on first use.
 
 The hand-written C extension :mod:`repro.native._native` implements the two
 hottest inner loops of the reproduction — whole-trace banked-memory conflict
 simulation and the per-``N`` LTB candidate scan — and is exposed through the
 existing ``engine=`` dispatch in :func:`repro.sim.memsim.simulate_sweep` and
-:func:`repro.baselines.ltb.ltb_partition`.  It is **never** a hard
-dependency:
+:func:`repro.baselines.ltb.ltb_partition`.  There is no build step:
 
-* build it with ``make build-ext`` (any C compiler; no third-party headers);
-* :func:`available` reports whether the compiled module can be used;
-* ``engine="native"`` without the extension raises
-  :class:`~repro.errors.NativeUnavailableError` with the build hint;
-* ``engine="auto"`` silently falls back to the NumPy engines;
-* ``REPRO_NATIVE=0`` force-disables the tier even when the extension is
-  importable.
+* the first :func:`available`, :func:`require` or :func:`build_info` call in
+  a process loads the extension from a per-user cache (:func:`cache_dir`),
+  keyed by the SHA-256 of the C source, the interpreter's extension suffix
+  and the compile command; on a miss it first compiles the source there
+  with the host C compiler.  Importing this module does none of that;
+* the cache directory and the module file must belong to the current user
+  and be writable by nobody else, because loading a shared object runs its
+  code;
+* ``engine="auto"`` uses the extension whenever it loads and falls back to
+  the NumPy engines silently when it cannot (no compiler, no Python
+  headers, a failed or timed-out compile, an unsafe cache);
+* ``engine="native"`` then raises
+  :class:`~repro.errors.NativeUnavailableError` naming the reason, which
+  :func:`build_info` also reports.
 
 Like the NumPy bulk tier's kernel registry
 (:func:`repro.core.vectorized.register_bulk_kernel`), mapping types opt into
@@ -29,89 +35,240 @@ NumPy bulk kernel, conflict accounting in C.
 
 from __future__ import annotations
 
+import hashlib
+import importlib.machinery
+import importlib.util
+import json
 import os
-from typing import Any, Callable, Dict, Optional
+import stat
+import tempfile
+import threading
+import time
+from pathlib import Path
+from typing import Any, Callable, Dict, List, Optional
 
 from ..core.mapping import BankMapping
 from ..errors import MappingError, NativeUnavailableError
 
 __all__ = [
-    "BUILD_HINT",
     "NativeUnavailableError",
     "available",
     "build_info",
+    "cache_dir",
     "has_native_spec",
     "native_spec_for",
     "register_native_spec",
     "require",
 ]
 
-#: One-line build instruction quoted by every unavailability error.
-BUILD_HINT = (
-    "build it with `make build-ext` (equivalently "
-    "`REPRO_BUILD_NATIVE=1 python setup.py build_ext --inplace`; "
-    "requires a C compiler)"
-)
+#: The extension's C source, compiled into the cache on first use.
+SOURCE = Path(__file__).with_name("_nativemodule.c")
+#: What ``PyInit__native`` sets ``ABI_VERSION`` to; a cached module
+#: reporting anything else is not loaded.
+ABI_VERSION = 1
+#: A compile running longer than this leaves the tier unavailable.
+COMPILE_TIMEOUT_S = 60.0
+#: How many trailing compiler stderr lines a build failure quotes.
+STDERR_TAIL_LINES = 5
 
-_module: Any = None
-_import_error: Optional[str] = None
-
-
-def _load() -> Any:
-    """Import the compiled module once; remember the failure otherwise."""
-    global _module, _import_error
-    if _module is None and _import_error is None:
-        try:
-            from . import _native as compiled  # type: ignore[attr-defined]
-
-            _module = compiled
-        except ImportError as exc:
-            _import_error = str(exc)
-    return _module
+_MODULE_NAME = "repro.native._native"
 
 
-def _kill_switched() -> bool:
-    return os.environ.get("REPRO_NATIVE", "").strip() == "0"
+class _BuildFailed(Exception):
+    """Why the extension cannot be loaded in this process."""
+
+
+def cache_dir() -> Path:
+    """The per-user build cache, created with mode 0700 if missing.
+
+    ``$XDG_CACHE_HOME/repro/native``, or ``~/.cache/repro/native`` when
+    that variable is unset (or not absolute); when that directory cannot be
+    created or written, ``<tempfile.gettempdir()>/repro-native-<uid>``.
+    """
+    xdg = os.environ.get("XDG_CACHE_HOME", "")
+    try:
+        base = Path(xdg) if os.path.isabs(xdg) else Path.home() / ".cache"
+        preferred = base / "repro" / "native"
+        preferred.mkdir(mode=0o700, parents=True, exist_ok=True)
+        if os.access(preferred, os.W_OK | os.X_OK):
+            return preferred
+    except (OSError, RuntimeError):  # RuntimeError: no home directory
+        pass
+    fallback = Path(tempfile.gettempdir()) / f"repro-native-{os.getuid()}"
+    fallback.mkdir(mode=0o700, exist_ok=True)
+    return fallback
+
+
+def _check_private(path: Path, is_kind: Callable[[int], bool], kind: str) -> None:
+    """Refuse ``path`` unless it is a ``kind`` (not a symlink) that the
+    current user owns and that group and others cannot write."""
+    info = os.lstat(path)
+    if not is_kind(info.st_mode):
+        raise _BuildFailed(f"{path} is not a {kind}")
+    if info.st_uid != os.getuid():
+        raise _BuildFailed(
+            f"{path} is owned by uid {info.st_uid}, not by the current user "
+            f"(uid {os.getuid()}); refusing to load from it"
+        )
+    if info.st_mode & (stat.S_IWGRP | stat.S_IWOTH):
+        raise _BuildFailed(
+            f"{path} is writable by group or others (mode "
+            f"{stat.S_IMODE(info.st_mode):o}); refusing to load from it"
+        )
+
+
+def _compile_command() -> List[str]:
+    """The compiler and flags ``setup.py build_ext`` used, without file
+    names: sysconfig's ``LDSHARED``, ``CFLAGS`` and ``CCSHARED``, ``-O3``
+    and the Python include directory."""
+    import shlex
+    import sysconfig
+
+    config = sysconfig.get_config_vars()
+    if not config.get("LDSHARED"):
+        raise _BuildFailed("this interpreter's sysconfig names no C compiler (LDSHARED)")
+    return [
+        *shlex.split(config["LDSHARED"]),
+        *shlex.split(config.get("CFLAGS") or ""),
+        *shlex.split(config.get("CCSHARED") or ""),
+        "-O3",
+        "-I" + sysconfig.get_paths()["include"],
+    ]
+
+
+def _compile(command: List[str], source: Path, output: Path) -> None:
+    """Compile and link ``source`` into the shared object ``output``."""
+    import subprocess
+
+    try:
+        done = subprocess.run(
+            [*command, str(source), "-o", str(output)],
+            capture_output=True,
+            text=True,
+            errors="replace",
+            timeout=COMPILE_TIMEOUT_S,
+            check=False,
+        )
+    except OSError as exc:
+        raise _BuildFailed(f"no C compiler: {exc}") from exc
+    except subprocess.TimeoutExpired as exc:
+        raise _BuildFailed(
+            f"compiling {source.name} timed out after {COMPILE_TIMEOUT_S:g} s"
+        ) from exc
+    if done.returncode != 0:
+        tail = "\n".join(done.stderr.strip().splitlines()[-STDERR_TAIL_LINES:])
+        raise _BuildFailed(
+            f"compiling {source.name} failed (exit {done.returncode}): {tail}"
+        )
+
+
+def _build(command: List[str], path: Path) -> None:
+    """Compile into a temporary file beside ``path``, then publish it with
+    one ``os.replace``, so another process compiling or loading at the
+    same time only ever sees a complete module."""
+    fd, tmp = tempfile.mkstemp(prefix=".build-", suffix=path.suffix, dir=path.parent)
+    os.close(fd)
+    try:
+        _compile(command, SOURCE, Path(tmp))
+        os.chmod(tmp, 0o700)
+        os.replace(tmp, path)
+    finally:
+        if os.path.lexists(tmp):
+            os.unlink(tmp)
+
+
+def _import_extension(path: Path) -> Any:
+    loader = importlib.machinery.ExtensionFileLoader(_MODULE_NAME, str(path))
+    spec = importlib.util.spec_from_file_location(_MODULE_NAME, path, loader=loader)
+    module = importlib.util.module_from_spec(spec)
+    loader.exec_module(module)
+    return module
+
+
+class _Loader:
+    """The process's one attempt to load the extension, and its outcome."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self.done = False
+        self.module: Any = None
+        self.error: Optional[str] = None
+        self.path: Optional[Path] = None
+        self.build_s: Optional[float] = None
+
+    def load(self) -> Any:
+        """The compiled module, or None once loading failed."""
+        if not self.done:
+            with self._lock:
+                if not self.done:
+                    try:
+                        self.module = self._load()
+                    except (_BuildFailed, OSError, ImportError) as exc:
+                        self.error = str(exc)
+                    self.done = True
+        return self.module
+
+    def _load(self) -> Any:
+        import sysconfig
+
+        command = _compile_command()
+        suffix = sysconfig.get_config_var("EXT_SUFFIX")
+        key = hashlib.sha256(
+            SOURCE.read_bytes() + json.dumps([suffix, command]).encode()
+        ).hexdigest()
+        directory = cache_dir()
+        _check_private(directory, stat.S_ISDIR, "directory")
+        path = directory / f"_native-{key[:16]}{suffix}"
+        if not os.path.lexists(path):
+            started = time.perf_counter()
+            _build(command, path)
+            self.build_s = time.perf_counter() - started
+        _check_private(path, stat.S_ISREG, "regular file")
+        module = _import_extension(path)
+        abi = getattr(module, "ABI_VERSION", None)
+        if abi != ABI_VERSION:
+            raise _BuildFailed(f"{path} has ABI_VERSION {abi!r}, expected {ABI_VERSION}")
+        self.path = path
+        return module
+
+
+_loader = _Loader()
 
 
 def available() -> bool:
-    """Whether ``engine="native"`` can run right now.
+    """Whether ``engine="native"`` can run in this process.
 
-    False when the extension is not built *or* when ``REPRO_NATIVE=0``
-    disables it; ``engine="auto"`` callers use this to fall back to the
-    NumPy engines silently.
+    The first call loads (and if needed compiles) the extension;
+    ``engine="auto"`` callers use this to fall back to the NumPy engines
+    silently.
     """
-    if _kill_switched():
-        return False
-    return _load() is not None
+    return _loader.load() is not None
 
 
 def require() -> Any:
-    """The compiled module, or a :class:`NativeUnavailableError` that says
-    exactly how to get one (explicit ``engine="native"`` path)."""
-    if _kill_switched():
-        raise NativeUnavailableError(
-            "the native engine is disabled by REPRO_NATIVE=0; unset it or "
-            "use engine='auto' to fall back to the NumPy engines"
-        )
-    module = _load()
+    """The compiled module, or a :class:`NativeUnavailableError` that names
+    why it could not be built or loaded (explicit ``engine="native"``)."""
+    module = _loader.load()
     if module is None:
         raise NativeUnavailableError(
-            f"the repro native extension is not built ({_import_error}); "
-            f"{BUILD_HINT}, or use engine='auto' to fall back to the NumPy "
-            "engines"
+            "engine='native' needs the compiled extension, which is "
+            "unavailable here (engine='auto' falls back to the NumPy "
+            f"engines): {_loader.error}"
         )
     return module
 
 
 def build_info() -> Dict[str, Any]:
-    """Diagnostic snapshot: availability, ABI, kill switch, import error."""
-    module = _load()
+    """Diagnostic snapshot: whether the tier is available, its ABI, why
+    not (``import_error``), the loaded file, and the compile time this
+    process paid (``build_s``, None on a cache hit)."""
+    module = _loader.load()
     return {
-        "available": available(),
+        "available": module is not None,
         "abi_version": getattr(module, "ABI_VERSION", None),
-        "kill_switched": _kill_switched(),
-        "import_error": _import_error,
+        "import_error": _loader.error,
+        "path": None if _loader.path is None else str(_loader.path),
+        "build_s": _loader.build_s,
     }
 
 

@@ -266,6 +266,13 @@ def parse_solve_spec(doc: Any) -> SolveSpec:
             f"pattern bounding box has {volume} elements, above the cap of "
             f"{DEFAULT_CHUNK_ELEMENTS}"
         )
+    # Algorithm 1's Q holds every pairwise difference: quadratic in m.
+    pairs = pattern.size * (pattern.size - 1) // 2
+    if pairs > DEFAULT_CHUNK_ELEMENTS:
+        raise BadRequestError(
+            f"pattern has {pattern.size} offsets, {pairs} pairwise "
+            f"differences, above the cap of {DEFAULT_CHUNK_ELEMENTS}"
+        )
     shape = _parse_shape(doc, pattern.ndim)
     objective_raw = doc.get("objective", Objective.LATENCY.value)
     try:
@@ -316,13 +323,13 @@ def parse_simulate_spec(doc: Any) -> SimulateSpec:
     if engine not in SIM_ENGINES:
         raise BadRequestError(f"unknown engine {engine!r}; one of {SIM_ENGINES}")
     if engine == "native":
-        from ..native import available
+        from .. import native
 
-        if not available():
+        if not native.available():
             raise BadRequestError(
-                "engine 'native' requires the compiled extension, which is "
-                "not available in this server (build it with `make "
-                "build-ext`, or use engine 'auto' for silent fallback)"
+                "engine 'native' is unavailable in this server (engine "
+                "'auto' falls back silently): "
+                f"{native.build_info()['import_error']}"
             )
     verify = doc.get("verify", True)
     if not isinstance(verify, bool):

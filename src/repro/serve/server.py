@@ -21,9 +21,11 @@ Endpoints
     executor thread.  Returns solution + simulation report.
 ``POST /table1``
     ``{"benchmarks": [...], "repetitions": k}`` — regenerates Table 1 rows
-    via :func:`repro.eval.table1.build_table`.
+    via :func:`repro.eval.table1.build_table`; distinct benchmarks and at
+    most :data:`MAX_TABLE1_REPETITIONS` repetitions.
 ``GET /healthz``
-    Liveness + queue/store stats, always JSON 200 while the loop is alive.
+    Liveness + queue/store stats and whether the native tier loaded,
+    always JSON 200 while the loop is alive.
 ``GET /metrics``
     The process metrics registry in Prometheus text format
     (:func:`repro.obs.export.to_prometheus_text`), including store
@@ -66,9 +68,10 @@ import dataclasses
 import json
 import threading
 import time
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple, Union
 
+from .. import native
 from ..core import cache as solve_cache
 from ..core.mapping import BankMapping
 from ..obs import state as obs_state
@@ -99,6 +102,11 @@ from .store import SolutionStore
 
 #: Largest accepted request body; patterns are small, this is generous.
 MAX_BODY_BYTES = 1 << 20
+
+#: Largest ``/table1`` ``repetitions``, 5x the ``repro-table1`` default.
+#: Each row's LTB time column runs the scalar search ``repetitions // 10``
+#: times on an executor thread that ``/simulate`` shares.
+MAX_TABLE1_REPETITIONS = 100
 
 #: Canonical groups tracked for /debug/store (LRU beyond this).
 _CANON_GROUPS_MAX = 1024
@@ -274,7 +282,14 @@ class PartitionServer:
     # -- lifecycle ---------------------------------------------------------
 
     async def start(self) -> None:
-        """Bind the socket and start the batch pipeline."""
+        """Load the native tier, bind the socket, start the batch pipeline.
+
+        The first load in a process may compile the extension (under a
+        second with gcc).  Doing it before the socket exists means no
+        request, and no request handler on the loop, ever waits for that
+        compile.
+        """
+        native.available()
         self.coalescer = Coalescer(store=self.store, **self._coalescer_config)
         self._batch_task = asyncio.get_running_loop().create_task(
             self.coalescer.run()
@@ -641,9 +656,16 @@ class PartitionServer:
             unknown = [b for b in benchmarks if b not in BENCHMARKS]
             if unknown:
                 raise BadRequestError(f"unknown benchmarks: {unknown}")
+            repeated = sorted(b for b, n in Counter(benchmarks).items() if n > 1)
+            if repeated:
+                raise BadRequestError(f"benchmarks repeat: {repeated}")
         repetitions = doc.get("repetitions", 1)
         if isinstance(repetitions, bool) or not isinstance(repetitions, int) or repetitions < 1:
             raise BadRequestError(f"repetitions must be a positive integer, got {repetitions!r}")
+        if repetitions > MAX_TABLE1_REPETITIONS:
+            raise BadRequestError(
+                f"repetitions {repetitions} is above the cap of {MAX_TABLE1_REPETITIONS}"
+            )
 
         def _build():
             from ..eval.table1 import build_table
@@ -687,6 +709,7 @@ class PartitionServer:
             "batch_max": self.coalescer.batch_max,
             "max_pending": self.coalescer.max_pending,
             "debug": self.debug,
+            "native": native.available(),
             "store": self.store.stats() if self.store is not None else None,
         }
 

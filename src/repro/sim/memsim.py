@@ -35,8 +35,8 @@ from .trace import pattern_trace
 from .vectorized import SweepStats, simulate_sweep_vectorized
 
 #: Engine names accepted by :func:`simulate_sweep`.  ``"native"`` is the
-#: optional compiled tier (:mod:`repro.native`): present only when the
-#: extension is built, preferred by ``"auto"`` when it is, and a clear
+#: compiled tier (:mod:`repro.native`, built on first use): preferred by
+#: ``"auto"`` whenever it loads, and a clear
 #: :class:`~repro.errors.NativeUnavailableError` when forced without it.
 ENGINES = ("auto", "scalar", "vectorized", "native")
 
@@ -136,9 +136,9 @@ def _vectorized_capable(mapping: BankMapping) -> bool:
 def resolve_engine(mapping: BankMapping, engine: str = "auto") -> str:
     """Concrete engine ``simulate_sweep`` will run for this mapping.
 
-    Selection order for ``"auto"``: ``native`` (when the compiled extension
-    is built, importable, and not disabled via ``REPRO_NATIVE=0``) →
-    ``vectorized`` → ``scalar``.  The native engine shares the vectorized
+    Selection order for ``"auto"``: ``native`` (when the compiled
+    extension, built on first use, loads) → ``vectorized`` → ``scalar``.
+    The native engine shares the vectorized
     engine's eligibility rule — its fused kernels and hybrid bulk path
     recompute addresses from the mapping's *formulas*, so a subclass that
     overrides the scalar address methods must fall back to scalar.
@@ -167,7 +167,7 @@ def resolve_engine(mapping: BankMapping, engine: str = "auto") -> str:
             "use engine='scalar' (or register_bulk_kernel for the type)"
         )
     if engine == "native":
-        native.require()  # NativeUnavailableError when absent or disabled
+        native.require()  # NativeUnavailableError when it cannot load
     return engine
 
 

@@ -302,10 +302,9 @@ def _differential_engines() -> Tuple[str, ...]:
     """Engines the differential oracles cross-check.
 
     Always the scalar reference and the vectorized NumPy engine; the
-    compiled native engine joins automatically whenever the extension is
-    importable (and not disabled via ``REPRO_NATIVE=0``), so a built tree
-    fuzzes three-way and an unbuilt tree degrades to the two-engine form
-    without error.
+    compiled native engine joins whenever the extension loads, so a host
+    with a C compiler fuzzes three-way and one without degrades to the
+    two-engine form without error.
     """
     from .. import native
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from repro import native
@@ -30,19 +32,37 @@ def _clean_solve_cache():
 
 
 #: Shown by ``pytest -rs`` whenever the native engine rows are skipped, so
-#: a run without the extension is visibly a two-engine run, never a silent
-#: loss of coverage.
-import os as _os
-
+#: a run on a host that cannot build the extension is visibly a two-engine
+#: run, never a silent loss of coverage.
 NATIVE_SKIP_REASON = (
-    "native extension disabled via REPRO_NATIVE=0"
-    if _os.environ.get("REPRO_NATIVE", "").strip() == "0"
-    else "native extension not built (make build-ext)"
+    f"native extension unavailable: {native.build_info()['import_error']}"
 )
 
 
+@pytest.fixture
+def native_unavailable(monkeypatch, tmp_path):
+    """The native tier as on a host whose C compiler fails.
+
+    A fresh loader over an empty cache whose compile command is an
+    interpreter that prints a compiler-style error and exits 1.
+    """
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    monkeypatch.setattr(native, "_loader", native._Loader())
+    monkeypatch.setattr(
+        native,
+        "_compile_command",
+        lambda: [
+            sys.executable,
+            "-c",
+            "import sys; sys.stderr.write('fatal error: Python.h: No such "
+            "file or directory\\n'); sys.exit(1)",
+        ],
+    )
+    return "fatal error: Python.h: No such file or directory"
+
+
 def engine_param(name: str):
-    """An engine name as a pytest param; ``native`` skips when not built.
+    """An engine name as a pytest param; ``native`` skips when unavailable.
 
     The single source of truth for the dual/tri-engine test matrix: every
     engine-equivalence test parametrizes over these instead of hard-coding

@@ -1,9 +1,8 @@
 """Guard against knob creep: the environment variables ``src/repro`` reads.
 
 Every ``REPRO_*`` variable is a second code path to test, document and
-keep alive, so the set is pinned: observability (``REPRO_OBS``) and the
-native-tier kill switch (``REPRO_NATIVE``).  Adding one means changing
-this test on purpose.
+keep alive, so the set is pinned to observability (``REPRO_OBS``).
+Adding one means changing this test on purpose.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from typing import Iterator, Tuple
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
-ALLOWED = {"REPRO_OBS", "REPRO_NATIVE"}
+ALLOWED = {"REPRO_OBS"}
 
 
 def _is_environ(node: ast.AST) -> bool:

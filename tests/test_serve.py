@@ -147,6 +147,13 @@ class TestProtocol:
             with pytest.raises(BadRequestError, match="bounding box"):
                 parse_solve_spec({"offsets": far})
 
+    def test_pattern_size_cap_counts_pairwise_differences(self):
+        # 724 * 723 / 2 <= 2^18 < 725 * 724 / 2
+        grid = [[i // 30, i % 30] for i in range(725)]
+        assert parse_solve_spec({"offsets": grid[:724]}).pattern.size == 724
+        with pytest.raises(BadRequestError, match="725 offsets, 262450 pairwise"):
+            parse_solve_spec({"offsets": grid})
+
     def test_simulate_requires_shape(self):
         with pytest.raises(BadRequestError, match="shape"):
             parse_simulate_spec({"benchmark": "log"})
@@ -292,6 +299,17 @@ class TestSolveEndpoint:
         error = json.loads(data)["error"]
         assert error["code"] == "bad_request"
         assert "bounding box" in error["message"]
+        assert _scheduled() == before
+
+    def test_large_pattern_is_400_before_any_solve(self, client):
+        """Algorithm 1's ``Q`` build is quadratic in the pattern size."""
+        before = _scheduled()
+        offsets = [[i // 30, i % 30] for i in range(725)]
+        status, data, _ = client._request("POST", "/solve", {"offsets": offsets})
+        assert status == 400, data
+        error = json.loads(data)["error"]
+        assert error["code"] == "bad_request"
+        assert "725 offsets" in error["message"]
         assert _scheduled() == before
 
     @pytest.mark.parametrize(
@@ -614,6 +632,26 @@ class TestTable1Endpoint:
         with pytest.raises(ServeError) as info:
             client.table1(benchmarks=["nope"])
         assert info.value.http_status == 400
+
+    @pytest.mark.parametrize(
+        "benchmarks, repetitions, message",
+        [
+            (["median"] * 6, 1, "benchmarks repeat: ['median']"),
+            (["se", "log", "se"], 1, "benchmarks repeat: ['se']"),
+            (["se"], 101, "repetitions 101 is above the cap of 100"),
+            (None, 10**6, "repetitions 1000000 is above the cap of 100"),
+        ],
+        ids=["median-x6", "se-twice", "101-reps", "million-reps"],
+    )
+    def test_unbounded_work_is_400(self, client, benchmarks, repetitions, message):
+        with pytest.raises(ServeError) as info:
+            client.table1(benchmarks=benchmarks, repetitions=repetitions)
+        assert info.value.http_status == 400
+        assert message in str(info.value)
+
+    def test_repetitions_at_the_cap_are_served(self, client):
+        doc = client.table1(benchmarks=["se"], repetitions=100)
+        assert [row["benchmark"] for row in doc["rows"]] == ["se"]
 
     @pytest.mark.parametrize("body", [[], 3])
     def test_non_object_body_is_400(self, client, body):
