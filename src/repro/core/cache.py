@@ -273,8 +273,9 @@ def _normalize_raw(
     )
 
 
-#: Memo of ``offsets -> (canonical offsets, perm, flips)``; bounded so
-#: pathological traffic can't grow it without bound.
+#: Memo of ``offsets -> (canonical offsets, perm, flips)``, holding each
+#: walked pattern and its representative; bounded so pathological traffic
+#: can't grow it without bound.
 _CANON_MEMO_MAX = 4096
 _canon_memo: "OrderedDict[Hashable, Tuple[Tuple[Tuple[int, ...], ...], Tuple[int, ...], Tuple[bool, ...]]]" = (
     OrderedDict()
@@ -326,6 +327,10 @@ def canonicalize(pattern: Pattern) -> Tuple[Pattern, SymmetryOp]:
         cached = (best, best_perm, best_flips)
         with _canon_lock:
             _canon_memo[offsets] = cached
+            # A walk over the representative returns it with the identity op,
+            # which it enumerates first and keeps on every tie.  Memoized, the
+            # solver's canonicalize of the server's canonical spec is a hit.
+            _canon_memo[best] = (best, tuple(range(ndim)), (False,) * ndim)
             while len(_canon_memo) > _CANON_MEMO_MAX:
                 _canon_memo.popitem(last=False)
 
@@ -366,7 +371,7 @@ def canonical_key(
     op's axis permutation (``shape[perm[-1]]`` — the permuted ``w[-1]``,
     which the leading-axis restriction keeps equal to ``shape[-1]``).
     :func:`solve_key` itself is untouched: its digests are pinned by the
-    serve store's on-disk artifacts and the golden-digest tests.
+    serve store's on-disk records and the golden-digest tests.
     """
     canon, op = canonicalize(pattern)
     tail = int(shape[op.perm[-1]]) if shape else None

@@ -175,7 +175,9 @@ def solve(
             pattern=pattern.name or "?",
             objective=objective.value,
         ):
-            return _solve_impl(pattern, shape, n_max, objective, delta_max, ops)
+            return _finish_result(
+                _solve_impl(pattern, shape, n_max, objective, delta_max, ops), shape
+            )
 
     started = time.perf_counter()
     shape_t = tuple(shape) if shape else None
@@ -202,17 +204,15 @@ def solve(
         pattern=pattern.name or "?",
         objective=objective.value,
     ):
-        canon_result = _solve_impl(
+        canon_solution = _solve_impl(
             canon_pattern, canon_shape, n_max, objective, delta_max, None
         )
     obs_registry().log_histogram("solve.cold_ms").observe(
         (time.perf_counter() - started) * 1000.0
     )
     if cache:
-        solve_cache.cache().put(key, canon_result.solution)
-    return _finish_result(
-        op.solution_to_caller(canon_result.solution, pattern), shape
-    )
+        solve_cache.cache().put(key, canon_solution)
+    return _finish_result(op.solution_to_caller(canon_solution, pattern), shape)
 
 
 def _solve_impl(
@@ -222,7 +222,12 @@ def _solve_impl(
     objective: Objective,
     delta_max: int,
     ops: OpCounter | None,
-) -> SolverResult:
+) -> PartitionSolution:
+    """The partitioning decision for ``pattern`` in its own frame.
+
+    Shape-free: the caller attaches the mapping and overhead once, in the
+    frame it answers in (:func:`_finish_result`).
+    """
     if n_max is not None and n_max < 1:
         raise InfeasibleConstraintError(f"n_max must be at least 1, got {n_max}")
 
@@ -277,7 +282,7 @@ def _solve_impl(
             pattern, transform, chosen, n_f, sweep.conflicts_by_n[chosen] - 1  # type: ignore[operator]
         )
 
-    return _finish_result(solution, shape)
+    return solution
 
 
 def solve_joint(

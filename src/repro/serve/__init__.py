@@ -13,10 +13,11 @@ in front of them:
 * :class:`~repro.serve.coalesce.Coalescer` — request coalescing (identical
   canonical solves share one in-flight job) and micro-batching into an
   inline solve on one executor thread (:func:`repro.sched.map_tasks`).
-* :class:`~repro.serve.store.SolutionStore` — content-addressed on-disk
-  artifacts keyed by :func:`repro.core.cache.stable_digest`, LRU-bounded,
-  layered under the in-memory solve cache so a restarted server serves
-  its old working set with zero new solves.
+* :class:`~repro.serve.store.SolutionStore` — a content-addressed,
+  append-only log of solutions keyed by
+  :func:`repro.core.cache.stable_digest`, LRU-bounded, layered under the
+  in-memory solve cache so a restarted server serves its old working set
+  with zero new solves.
 * :class:`~repro.serve.client.ServeClient` — blocking client speaking the
   same protocol, with optional bounded-jittered retries on 429/503 and
   transport errors; ``repro-serve`` (:mod:`repro.serve.cli`) runs the

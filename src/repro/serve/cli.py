@@ -8,9 +8,10 @@ Examples::
 
 ``--port 0`` binds an ephemeral port; ``--port-file`` writes the bound
 port so scripts (and the CI smoke job) can find the server without racing
-its stdout.  SIGINT/SIGTERM shut the server down cleanly: in-flight work
-is failed with ``shutting_down`` errors, the store is already durable
-(every artifact is written at solve time), and the process exits 0.
+its stdout.  SIGINT/SIGTERM shut the server down cleanly: in-flight
+requests get ``shutting_down`` errors, the batch already on its executor
+thread finishes and appends what it solved to the store's log, the log is
+closed, and the process exits 0.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--store-max",
         type=int,
         default=4096,
-        help="store capacity in artifacts (LRU eviction beyond this)",
+        help="store capacity in solutions (LRU eviction beyond this)",
     )
     parser.add_argument(
         "--batch-max",

@@ -20,11 +20,18 @@ them.  Partitioning solves are CPU-bound, so the intake path:
 4. **Solves inline** — the misses run through the DAG scheduler
    (:func:`repro.sched.map_tasks`, digest-keyed) in the server process, on
    the batch's executor thread, with ``solve(..., cache=False)``: the
-   loop has already missed the in-memory cache for them.
+   loop has already missed the in-memory cache for them.  The spec is
+   already canonical, and the loop's ``canonicalize`` memoized it as its
+   own representative, so the solver's ``canonicalize`` is a memo hit.
+5. **Appends** — each fresh solution is appended to the store's log, one
+   ``os.write`` per solve.
 
 Every solution a batch produces — store hit or fresh solve — is put into
 the in-memory solve cache under the job's key, so the next request for it
 is answered on the loop.  The batch thread is the cache's one writer.
+Cancelling :meth:`Coalescer.run` cannot stop a batch already on its
+thread; :meth:`Coalescer.drain` waits for it, so a stopping server
+stores what that batch solved before it closes the store.
 
 Jobs resolve to *outcome tuples* — ``("ok", PartitionSolution)`` or
 ``("err", code, message)`` — rather than raised exceptions, because one
@@ -143,7 +150,7 @@ def _execute_batch(
     scheduler's :func:`~repro.sched.map_tasks`, keyed by canonical digest
     (the coalescer already deduplicates upstream, so the keys are belt-and-
     braces against a caller that batches duplicates directly), and fresh
-    solutions are persisted to the store.  Every solution, stored or
+    solutions are appended to the store.  Every solution, stored or
     fresh, goes into the in-memory solve cache under its item's key.  Each
     item carries its leader's trace id, so store lookups and solves span
     into the right request tree even though the batch serves many requests
@@ -233,6 +240,8 @@ class Coalescer:
         self._inflight: Dict[str, _Flight] = {}
         self._wake = asyncio.Event()
         self._closed = False
+        # The batch on the executor thread, which cancelling run() cannot stop.
+        self._running: "Optional[asyncio.Future[Dict[str, Outcome]]]" = None
 
     # -- intake ------------------------------------------------------------
 
@@ -320,14 +329,11 @@ class Coalescer:
                 if not batch:
                     continue
                 registry.histogram("serve.batch.size").observe(len(batch))
+                self._running = loop.run_in_executor(
+                    None, _execute_batch, batch, self.store, self.solve_delay_s
+                )
                 try:
-                    outcomes = await loop.run_in_executor(
-                        None,
-                        _execute_batch,
-                        batch,
-                        self.store,
-                        self.solve_delay_s,
-                    )
+                    outcomes = await asyncio.shield(self._running)
                 except Exception as exc:  # noqa: BLE001 - keep the loop alive
                     outcomes = {
                         digest: ("err", ERROR_INTERNAL, f"batch failed: {exc}")
@@ -344,6 +350,17 @@ class Coalescer:
                         )
         finally:
             self.close()
+
+    async def drain(self) -> None:
+        """Wait until the batch on the executor thread, if any, has finished.
+
+        Cancelling :meth:`run` fails the batch's waiters but cannot stop
+        its thread, which still stores what it solves; a stop awaits this
+        before it closes the store.
+        """
+        running, self._running = self._running, None
+        if running is not None:
+            await asyncio.wait([running])
 
     def close(self) -> None:
         """Refuse new work and fail everything still queued or in flight."""

@@ -125,6 +125,8 @@ def parse_pattern(doc: Dict[str, Any]) -> Pattern:
         from ..patterns.library import BENCHMARKS, benchmark_pattern
 
         bench = doc["benchmark"]
+        if not isinstance(bench, str):
+            raise BadRequestError(f"benchmark must be a string, got {bench!r}")
         if bench not in BENCHMARKS:
             raise BadRequestError(
                 f"unknown benchmark {bench!r}; one of {sorted(BENCHMARKS)}"

@@ -301,7 +301,11 @@ class PartitionServer:
         self._started_at = time.monotonic()
 
     async def stop(self) -> None:
-        """Stop accepting, fail queued work, release the port."""
+        """Stop accepting, fail queued work, release the port, close the store.
+
+        A batch already on its executor thread finishes first, so what it
+        solves is stored.
+        """
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -323,6 +327,9 @@ class PartitionServer:
             self._batch_task = None
         if self.coalescer is not None:
             self.coalescer.close()
+            await self.coalescer.drain()
+        if self.store is not None:
+            self.store.close()
 
     async def serve_forever(self) -> None:
         """Run until cancelled (the CLI wires signals to cancellation)."""
@@ -653,6 +660,9 @@ class PartitionServer:
         if benchmarks is not None:
             if not isinstance(benchmarks, list) or not benchmarks:
                 raise BadRequestError("benchmarks must be a non-empty list")
+            not_names = [b for b in benchmarks if not isinstance(b, str)]
+            if not_names:
+                raise BadRequestError(f"benchmarks must be strings, got {not_names!r}")
             unknown = [b for b in benchmarks if b not in BENCHMARKS]
             if unknown:
                 raise BadRequestError(f"unknown benchmarks: {unknown}")

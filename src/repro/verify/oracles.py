@@ -515,7 +515,7 @@ def _check_symmetry_variant(
     canon_shape = op_v.shape_to_canonical(v_shape)
     canon_solution = _solve_impl(
         canon_v, canon_shape, ctx.case.n_max, Objective.LATENCY, 0, None
-    ).solution
+    )
     warm = op_v.solution_to_caller(canon_solution, variant)
     if _solution_fields(warm) != _solution_fields(cold):
         failures.append(

@@ -12,6 +12,7 @@ from repro.core import OpCounter, partition
 from repro.errors import PartitioningError
 from repro.patterns import (
     EXPECTED_BANKS,
+    benchmark_pattern,
     gaussian_pattern,
     log_pattern,
     median_pattern,
@@ -91,6 +92,33 @@ class TestOpAccounting:
         assert ltb_ops.arithmetic > 1_000_000
         assert ours_ops.arithmetic < 5_000
         assert ltb_ops.arithmetic / ours_ops.arithmetic > 100
+
+
+#: The Table 1 ops column as this implementation counts it: arithmetic ops
+#: of ``partition(p, ops=...)``, of ``ltb_partition(p, ops=...)``, and the
+#: LTB candidate vectors tried.
+TABLE1_OPS = {
+    "log": (258, 1222, 19),
+    "canny": (782, 4193, 31),
+    "prewitt": (123, 3257, 77),
+    "se": (66, 195, 8),
+    "sobel3d": (950, 3937227, 18396),
+    "median": (106, 359, 11),
+    "gaussian": (162, 4418, 96),
+}
+
+
+class TestTable1OpsColumn:
+    """Exact op charges, identical for every LTB engine."""
+
+    @pytest.mark.parametrize("name", sorted(TABLE1_OPS))
+    def test_exact_counts(self, name, sim_engine):
+        pattern = benchmark_pattern(name)
+        ours_ops = OpCounter()
+        partition(pattern, ops=ours_ops)
+        ltb_ops = OpCounter()
+        ltb = ltb_partition(pattern, ops=ltb_ops, engine=sim_engine)
+        assert (ours_ops.total, ltb_ops.total, ltb.vectors_tried) == TABLE1_OPS[name]
 
 
 class TestOverheadModel:

@@ -196,20 +196,38 @@ class TestSolutionStore:
     def test_corrupt_artifact_is_dropped_not_fatal(self, tmp_path):
         store = SolutionStore(tmp_path)
         digest, solution = self._digest_and_solution()
-        path = store.put(digest, solution)
-        path.write_text("{not json")
+        store.put(digest, solution)
+        log = tmp_path / "solutions.log"
+        record = log.read_bytes()
+        # Corrupt the record's body in place; its head, which the index is
+        # built from, stays intact.
+        middle = len(record) // 2
+        log.write_bytes(record[:middle] + b"{not json" + record[middle + 9 :])
         assert store.get(digest) is None
-        assert not path.exists()
+        assert store.digests() == []
+        assert (store.hits, store.misses) == (0, 1)
+        # The drop is in the log too: a reopened store does not serve it.
+        assert SolutionStore(tmp_path).digests() == []
 
     def test_wrong_digest_filename_rejected(self, tmp_path):
+        """A record filed under one digest that carries another is refused."""
         store = SolutionStore(tmp_path)
         digest, solution = self._digest_and_solution()
-        path = store.put(digest, solution)
-        doc = json.loads(path.read_text())
-        other = tmp_path / ("0" * 64 + ".json")
-        other.write_text(json.dumps(doc))
+        store.put(digest, solution)
+        log = tmp_path / "solutions.log"
+        record = log.read_bytes()
+        # The same document filed under "0" * 64: its head names that digest,
+        # while the digest the document carries (JSON keeps the last of a
+        # repeated key) is the real one.
+        forged = record.replace(digest.encode(), b"0" * 64, 1)
+        forged = forged[:-2] + b',"digest":"%s"}\n' % digest.encode()
+        with log.open("ab") as handle:
+            handle.write(forged)
         store2 = SolutionStore(tmp_path)
+        assert store2.digests() == [digest, "0" * 64]
         assert store2.get("0" * 64) is None
+        assert store2.digests() == [digest]
+        assert store2.get(digest) == solution
 
 
 class TestSolveEndpoint:
@@ -332,6 +350,19 @@ class TestSolveEndpoint:
         status, data, _ = client._request("POST", "/solve", {"offsets": offsets})
         assert status == 400, data
         assert json.loads(data)["error"] == {"code": "bad_request", "message": message}
+
+    @pytest.mark.parametrize(
+        "name", [["log"], {"a": 1}, 7], ids=["list", "object", "number"]
+    )
+    def test_non_string_benchmark_is_400_before_any_solve(self, client, name):
+        before = _scheduled()
+        status, data, _ = client._request("POST", "/solve", {"benchmark": name})
+        assert status == 400, data
+        assert json.loads(data)["error"] == {
+            "code": "bad_request",
+            "message": f"benchmark must be a string, got {name!r}",
+        }
+        assert _scheduled() == before
 
     def test_slack_latency_n_max_is_not_bounded(self, client):
         """Latency sweeps only below N_f, so a huge slack ceiling is cheap."""
@@ -571,11 +602,14 @@ class TestMemoryTier:
                 a = client.solve(benchmark="log", n_max=10)["key"]
                 b = client.solve(benchmark="se")["key"]
                 assert client.solve(benchmark="log", n_max=10)["key"] == a
-                client.solve(benchmark="median")
+                c = client.solve(benchmark="median")["key"]
         # The repeat of A was answered from memory, yet B is the store's
-        # least recently used entry when C's write evicts one.
-        assert (store_dir / f"{a}.json").exists()
-        assert not (store_dir / f"{b}.json").exists()
+        # least recently used entry when C's write evicts one, and the
+        # eviction outlives the server.
+        assert len({a, b, c}) == 3
+        assert srv.server.store.digests() == [a, c]
+        with SolutionStore(store_dir) as reopened:
+            assert reopened.digests() == [a, c]
 
     def test_replies_and_artifact_carry_the_golden_digest(self, tmp_path):
         """The served identity is pinned: a cold reply, a moved variant's
@@ -589,7 +623,15 @@ class TestMemoryTier:
                     for pattern in (log_pattern(), log_pattern().translated((3, 5)))
                 ]
         assert keys == [golden, golden]
-        assert [path.name for path in store_dir.glob("*.json")] == [f"{golden}.json"]
+        records = (store_dir / "solutions.log").read_bytes().splitlines()
+        assert len(records) == 1
+        assert records[0].startswith(
+            b'{"digest":"%s","format":"repro/serve-solution",' % golden.encode()
+        )
+        assert json.loads(records[0])["digest"] == golden
+        with SolutionStore(store_dir) as reopened:
+            assert reopened.digests() == [golden]
+            assert reopened.get(golden) is not None
 
 
 class TestSimulateEndpoint:
@@ -609,6 +651,19 @@ class TestSimulateEndpoint:
         with pytest.raises(ServeError) as info:
             client._json("POST", "/simulate", {"benchmark": "se"})
         assert info.value.http_status == 400
+
+    @pytest.mark.parametrize("name", [["se"], {"a": 1}], ids=["list", "object"])
+    def test_non_string_benchmark_is_400_before_any_solve(self, client, name):
+        before = _scheduled()
+        status, data, _ = client._request(
+            "POST", "/simulate", {"benchmark": name, "shape": [16, 16]}
+        )
+        assert status == 400, data
+        assert json.loads(data)["error"] == {
+            "code": "bad_request",
+            "message": f"benchmark must be a string, got {name!r}",
+        }
+        assert _scheduled() == before
 
     def test_oversized_shape_is_400_before_any_solve(self, client):
         before = _scheduled()
@@ -632,6 +687,23 @@ class TestTable1Endpoint:
         with pytest.raises(ServeError) as info:
             client.table1(benchmarks=["nope"])
         assert info.value.http_status == 400
+
+    @pytest.mark.parametrize(
+        "benchmarks, bad",
+        [([[1]], [[1]]), (["se", {"a": 1}, 3], [{"a": 1}, 3])],
+        ids=["nested-list", "object-and-number"],
+    )
+    def test_non_string_benchmarks_are_400(self, client, benchmarks, bad):
+        before = _scheduled()
+        status, data, _ = client._request(
+            "POST", "/table1", {"benchmarks": benchmarks}
+        )
+        assert status == 400, data
+        assert json.loads(data)["error"] == {
+            "code": "bad_request",
+            "message": f"benchmarks must be strings, got {bad!r}",
+        }
+        assert _scheduled() == before
 
     @pytest.mark.parametrize(
         "benchmarks, repetitions, message",

@@ -1,8 +1,11 @@
 """Unit tests for repro.core.solver (Problem 1 objective orders)."""
 
+import importlib
+
 import pytest
 
-from repro.core import Objective, partition, solve
+from repro.core import Objective, Pattern, partition, solve
+from repro.core.opcount import OpCounter
 from repro.errors import InfeasibleConstraintError
 from repro.patterns import log_pattern, se_pattern
 
@@ -116,3 +119,40 @@ class TestConsistency:
         result = solve(se_pattern(), shape=(10, 10))
         delta, banks, overhead = result.objective_vector
         assert (delta, banks, overhead) == (0, 5, 0)
+
+
+class TestOneMappingPerSolve:
+    """A solve builds its shape-specific result once, in the caller's frame."""
+
+    @pytest.fixture()
+    def built(self, monkeypatch):
+        solver_mod = importlib.import_module("repro.core.solver")
+        mappings = []
+        real = solver_mod.BankMapping
+
+        def counting(*args, **kwargs):
+            mappings.append(real(*args, **kwargs))
+            return mappings[-1]
+
+        monkeypatch.setattr(solver_mod, "BankMapping", counting)
+        return mappings
+
+    @pytest.mark.parametrize("objective", list(Objective), ids=lambda o: o.value)
+    def test_cold_solve_builds_one_mapping(self, built, objective):
+        # A mirrored corner: its canonical frame differs from its own.
+        mirrored = Pattern([(0, 0), (0, 1), (-1, 0)], name="mirrored")
+        result = solve(
+            mirrored, shape=(24, 24), n_max=8, objective=objective, cache=False
+        )
+        assert len(built) == 1
+        assert built[0] is result.mapping
+        assert result.mapping.solution is result.solution
+        assert result.solution.pattern == mirrored
+
+    @pytest.mark.parametrize("n_max, total", [(None, 258), (6, 395)])
+    def test_instrumented_solve_builds_one_mapping(self, built, n_max, total):
+        ops = OpCounter()
+        result = solve(log_pattern(), shape=(64, 64), n_max=n_max, ops=ops)
+        assert len(built) == 1
+        assert built[0] is result.mapping
+        assert ops.total == total  # the paper's charges are unchanged

@@ -14,6 +14,7 @@ import importlib
 
 import pytest
 
+from repro.core import cache as cache_mod
 from repro.core import solve, solve_cache
 from repro.core.cache import (
     MAX_SYMMETRY_NDIM,
@@ -110,6 +111,54 @@ class TestCanonicalKeyOrbitInvariance:
         second = canonicalize(CORNER)
         assert first[0].offsets == second[0].offsets
         assert first[1] == second[1]
+
+
+class TestCanonicalMemoSeed:
+    """A walk also memoizes its representative, mapped to itself."""
+
+    def test_seeded_answer_equals_a_fresh_walk_across_strata(self):
+        """``canonicalize(canon)`` answered from the seed is what a walk over
+        ``canon`` with an empty memo returns: the same representative and
+        the identity op, for 1-D to 4-D cases of all four strata."""
+        dims = set()
+        for index in range(16):
+            case = generate_case(seed=20250808, index=index)
+            pattern = Pattern(case.offsets)
+            variants = [pattern] + [
+                variant
+                for _tag, variant, _shape in symmetry_variants(
+                    pattern, case.shape, "composed", seed=5, count=2
+                )
+            ]
+            for variant in variants:
+                cache_mod._canon_memo.clear()
+                canon, _op = canonicalize(variant)
+                assert canon.offsets in cache_mod._canon_memo
+                seeded = canonicalize(canon)
+                cache_mod._canon_memo.clear()
+                fresh = canonicalize(canon)
+                assert seeded[0].offsets == fresh[0].offsets == canon.offsets
+                assert seeded[1] == fresh[1], (index, variant)
+                assert fresh[1].is_identity
+            dims.add(pattern.ndim)
+        assert dims == {1, 2, 3, 4}
+
+    def test_solving_a_canonical_pattern_walks_no_orbit(self, monkeypatch):
+        """The server solves the canonical spec it computed: the solver's
+        own ``canonicalize`` of it is a memo hit, not a second walk."""
+        cache_mod._canon_memo.clear()
+        canon, op = canonicalize(CORNER.reflected((0,)))
+        assert not op.is_identity
+        walks = {"n": 0}
+        real = cache_mod._normalize_raw
+
+        def counting(offsets):
+            walks["n"] += 1
+            return real(offsets)
+
+        monkeypatch.setattr(cache_mod, "_normalize_raw", counting)
+        solve(canon, (16, 16), n_max=8, cache=False)
+        assert walks["n"] == 0
 
 
 class TestWarmHitEqualsColdSolve:
