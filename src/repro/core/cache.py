@@ -48,12 +48,15 @@ process-wide cache holds :data:`DEFAULT_MAXSIZE` solutions.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
 import threading
 from collections import OrderedDict
 from typing import Any, Hashable, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..obs.metrics import registry as obs_registry
 from .partition import PartitionSolution
@@ -273,13 +276,101 @@ def _normalize_raw(
     )
 
 
-#: Memo of ``offsets -> (canonical offsets, perm, flips)``, holding each
-#: walked pattern and its representative; bounded so pathological traffic
-#: can't grow it without bound.
+def _walk_orbit(
+    offsets: Sequence[Tuple[int, ...]]
+) -> Tuple[Tuple[Tuple[int, ...], ...], Tuple[int, ...], Tuple[bool, ...]]:
+    """Reference canonicalization: normalize every orbit image in turn.
+
+    Returns ``(representative, perm, flips)``.  Images are enumerated
+    permutation-major, then by the flip bitmask (bit ``k`` flips position
+    ``k``), and a later image replaces the best only when strictly smaller,
+    so ties keep the first.  :func:`canonicalize` must agree with this walk
+    on the representative *and* the op; the tests hold it to that.
+    """
+    ndim = len(offsets[0])
+    best: Optional[Tuple[Tuple[int, ...], ...]] = None
+    best_perm: Tuple[int, ...] = tuple(range(ndim))
+    best_flips: Tuple[bool, ...] = (False,) * ndim
+    for perm in _leading_axis_permutations(ndim):
+        projected = [tuple(v[axis] for axis in perm) for v in offsets]
+        for bits in range(1 << ndim):
+            flips = tuple(bool(bits >> k & 1) for k in range(ndim))
+            candidate = _normalize_raw(
+                [
+                    tuple(-c if flips[k] else c for k, c in enumerate(v))
+                    for v in projected
+                ]
+            )
+            if best is None or candidate < best:
+                best, best_perm, best_flips = candidate, perm, flips
+    assert best is not None
+    return best, best_perm, best_flips
+
+
+_INT64_MAX = (1 << 63) - 1
+
+
+@functools.lru_cache(maxsize=MAX_SYMMETRY_NDIM)
+def _orbit_table(ndim: int) -> Tuple[np.ndarray, np.ndarray, Tuple[SymmetryOp, ...]]:
+    """The ``T = (n-1)!·2^n`` group elements for ``ndim`` axes, in walk order.
+
+    Returns ``(sources, image_rows, ops)``.  ``sources[t, k]`` is the row
+    of :func:`_orbit_minimum`'s coordinate table that image ``t`` reads at
+    position ``k``: axis ``perm[k]``, or its reflection ``n + perm[k]``.
+    ``image_rows`` is ``arange(T)`` as a column, for row-wise gathers, and
+    ``ops[t]`` is image ``t``'s :class:`SymmetryOp`.  Built on first use
+    per dimension count, never at import.
+    """
+    ops = tuple(
+        SymmetryOp(perm=perm, flips=tuple(bool(bits >> k & 1) for k in range(ndim)))
+        for perm in _leading_axis_permutations(ndim)
+        for bits in range(1 << ndim)
+    )
+    sources = np.array(
+        [[axis + ndim * flip for axis, flip in zip(op.perm, op.flips)] for op in ops],
+        dtype=np.intp,
+    )
+    return sources, np.arange(len(ops))[:, None], ops
+
+
+def _orbit_minimum(
+    offsets: Sequence[Tuple[int, ...]], ndim: int
+) -> Tuple[Tuple[Tuple[int, ...], ...], SymmetryOp]:
+    """The orbit's smallest normalized image and the op producing it.
+
+    All ``T`` images come out of one ``(T, n, m)`` array.  The offsets are
+    origin-normalized in Python first, so a far-translated pattern reaches
+    NumPy with coordinates below its extents; the reflection of a
+    normalized axis is then ``extent − 1 − c``, normalized too.  Each
+    image's points are sorted with ``np.lexsort``, and a second, stable
+    lexsort over the flattened images puts the smallest first, ties in
+    enumeration order: the representative and op :func:`_walk_orbit`
+    returns.
+    """
+    sources, image_rows, ops = _orbit_table(ndim)
+    columns = list(zip(*offsets))
+    lows = [min(column) for column in columns]
+    highs = [max(column) - low for column, low in zip(columns, lows)]
+    # Extents past int64 still sort exactly, as Python ints.
+    dtype = np.int64 if max(highs) <= _INT64_MAX else object
+    axes = np.array(
+        [[c - low for c in column] for column, low in zip(columns, lows)],
+        dtype=dtype,
+    )
+    table = np.concatenate((axes, np.array(highs, dtype=dtype)[:, None] - axes))
+    orbit = table[sources]  # (T, n, m)
+    # Sort each image's points, first coordinate primary (lexsort's last key).
+    order = np.lexsort(orbit.transpose(1, 0, 2)[::-1])
+    points = orbit.transpose(0, 2, 1)[image_rows, order]  # (T, m, n), sorted
+    best = int(np.lexsort(points.reshape(len(ops), -1).T[::-1])[0])
+    return tuple(map(tuple, points[best].tolist())), ops[best]
+
+
+#: Memo of ``offsets -> (canonical pattern, op)``, holding each
+#: canonicalized pattern and its representative; bounded so pathological
+#: traffic can't grow it without bound.
 _CANON_MEMO_MAX = 4096
-_canon_memo: "OrderedDict[Hashable, Tuple[Tuple[Tuple[int, ...], ...], Tuple[int, ...], Tuple[bool, ...]]]" = (
-    OrderedDict()
-)
+_canon_memo: "OrderedDict[Hashable, Tuple[Pattern, SymmetryOp]]" = OrderedDict()
 _canon_lock = threading.Lock()
 
 
@@ -293,7 +384,10 @@ def canonicalize(pattern: Pattern) -> Tuple[Pattern, SymmetryOp]:
     *translation × per-axis reflection × leading-axis permutation*; ties
     between group elements that produce the same representative (pattern
     self-symmetries) break deterministically on enumeration order, so every
-    process picks the same op for the same pattern.
+    process picks the same op for the same pattern.  A new pattern builds
+    its whole orbit in one pass (:func:`_orbit_minimum`); the pattern and
+    its representative are then memoized, and a hit relabels the stored
+    canonical pattern without re-validating it.
 
     Patterns beyond :data:`MAX_SYMMETRY_NDIM` dimensions use the
     translation-only quotient.
@@ -308,35 +402,21 @@ def canonicalize(pattern: Pattern) -> Tuple[Pattern, SymmetryOp]:
         if cached is not None:
             _canon_memo.move_to_end(offsets)
     if cached is None:
-        best: Optional[Tuple[Tuple[int, ...], ...]] = None
-        best_perm: Tuple[int, ...] = tuple(range(ndim))
-        best_flips: Tuple[bool, ...] = (False,) * ndim
-        for perm in _leading_axis_permutations(ndim):
-            projected = [tuple(v[axis] for axis in perm) for v in offsets]
-            for bits in range(1 << ndim):
-                flips = tuple(bool(bits >> k & 1) for k in range(ndim))
-                candidate = _normalize_raw(
-                    [
-                        tuple(-c if flips[k] else c for k, c in enumerate(v))
-                        for v in projected
-                    ]
-                )
-                if best is None or candidate < best:
-                    best, best_perm, best_flips = candidate, perm, flips
-        assert best is not None
-        cached = (best, best_perm, best_flips)
+        canon_offsets, op = _orbit_minimum(offsets, ndim)
+        cached = (Pattern(canon_offsets), op)
         with _canon_lock:
             _canon_memo[offsets] = cached
-            # A walk over the representative returns it with the identity op,
-            # which it enumerates first and keeps on every tie.  Memoized, the
-            # solver's canonicalize of the server's canonical spec is a hit.
-            _canon_memo[best] = (best, tuple(range(ndim)), (False,) * ndim)
+            # The representative's own orbit minimum is itself under the
+            # identity op, which comes first and wins every tie.  Memoized,
+            # the solver's canonicalize of the server's canonical spec is a hit.
+            _canon_memo[canon_offsets] = (cached[0], _identity_op(ndim))
             while len(_canon_memo) > _CANON_MEMO_MAX:
                 _canon_memo.popitem(last=False)
 
-    canon_offsets, perm, flips = cached
-    canon_pattern = Pattern(canon_offsets, name=pattern.name)
-    return canon_pattern, SymmetryOp(perm=perm, flips=flips)
+    canon_pattern, op = cached
+    if canon_pattern.name != pattern.name:
+        canon_pattern = canon_pattern.with_name(pattern.name)
+    return canon_pattern, op
 
 
 def canonical_solve_key(

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -135,8 +136,14 @@ def minimize_nf(
     """Paper Algorithm 1: the smallest conflict-free bank count ``N_f``.
 
     Starting from ``N = m``, a candidate is rejected as soon as one of its
-    multiples ``k·N ≤ M`` appears in the difference multiset (tested via
-    the occurrence histogram ``E``), exactly as in the pseudo code.
+    multiples ``k·N ≤ M`` is an observed pairwise difference (the paper's
+    ``E[kN] ≠ 0``), exactly as in the pseudo code.
+
+    Op charges are the pseudo code's, made in bulk: one subtraction per
+    pair and one compare per pair for the max scan (line 10), then per
+    step of the ``N`` search one multiplication and one loop-guard
+    compare, plus one ``E`` compare and one addition on every step that
+    does not end the search.  Each phase charges inside its own span.
 
     Returns ``(n_f, transform, z_values)`` so callers can reuse the
     transformed values without recomputing them.
@@ -158,40 +165,49 @@ def minimize_nf(
             return 1, transform, z_values
 
         with span("solve.qset_build", ops=counter):
-            diffs = pairwise_differences(z_values, ops)
-            if 0 in diffs:
+            # The distinct differences: only E[d] != 0 is ever read, so the
+            # histogram's counts (memory traffic, never charged) are not
+            # kept.  Sorted, each difference is b - a >= 0; 0 is a duplicate.
+            ordered = sorted(z_values)
+            qset = {b - a for a, b in combinations(ordered, 2)}
+            pairs = m * (m - 1) // 2
+            counter.sub(pairs)
+            if 0 in qset:
                 raise PartitioningError(
                     "transform does not separate the pattern (duplicate z values); "
                     "Theorem 1 guarantees this never happens for the derived alpha"
                 )
-            max_diff = max(diffs)
-            counter.compare(len(diffs))  # the max scan of line 10
-
-            # E[d] = number of pairs at distance d (lines 11-16).  Building
-            # the histogram is memory traffic, not arithmetic; not charged.
-            occurrences = [0] * (max_diff + 1)
-            for d in diffs:
-                occurrences[d] += 1
+            counter.compare(pairs)  # the max scan of line 10
+            max_diff = ordered[-1] - ordered[0]
 
         # Lines 17-25: grow N until no multiple of it is an observed difference.
+        # The pseudo code walks k = 1, 2, ... to the first k·N in Q (reject
+        # N: k steps) or past M (accept N: M // N + 1 steps).  When N has
+        # more multiples below M than Q has members, scanning Q finds the
+        # same first k, so the work per candidate is bounded by |Q| even
+        # for a pattern whose spread M is huge.
         with span("solve.select_n", ops=counter) as selection:
             n_f = m
-            k = 1
+            steps = 0
             while True:
-                counter.mul()  # k * n_f
-                multiple = k * n_f
-                counter.compare()  # loop guard k*Nf <= M
-                if multiple > max_diff:
-                    selection.annotate(n_f=n_f)
-                    return n_f, transform, z_values
-                counter.compare()  # E[kNf] != 0
-                if occurrences[multiple] != 0:
-                    counter.add()
-                    n_f += 1
+                last = max_diff // n_f
+                if last <= len(qset):
                     k = 1
+                    while k <= last and k * n_f not in qset:
+                        k += 1
                 else:
-                    counter.add()
-                    k += 1
+                    k = min((d // n_f for d in qset if d % n_f == 0), default=last + 1)
+                if k > last:
+                    steps += last + 1
+                    break
+                steps += k
+                n_f += 1
+            counter.mul(steps)
+            counter.compare(2 * steps - 1)
+            if steps > 1:
+                counter.add(steps - 1)
+            selection.annotate(n_f=n_f)
+            return n_f, transform, z_values
 
 
 def fast_nc(

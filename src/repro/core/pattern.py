@@ -191,8 +191,15 @@ class Pattern:
         return Pattern(merged, name=name or f"{self.name}|{other.name}")
 
     def with_name(self, name: str) -> "Pattern":
-        """Return the same pattern relabelled."""
-        return Pattern(self._offsets, name=name)
+        """Return the same pattern relabelled.
+
+        The offsets were validated and sorted when this pattern was built,
+        so the copy shares them without checking them again.
+        """
+        twin = Pattern.__new__(Pattern)
+        twin._offsets = self._offsets
+        twin._name = name
+        return twin
 
     def embed(self, extra_axis_value: int = 0, axis: int = -1, name: str = "") -> "Pattern":
         """Embed into one more dimension by inserting a constant coordinate.

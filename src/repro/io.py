@@ -85,6 +85,20 @@ def solution_from_dict(payload: Dict[str, Any]) -> PartitionSolution:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise SerializationError(f"malformed solution payload: {exc}") from exc
+    for name in ("n_banks", "n_unconstrained", "bank_ports"):
+        if getattr(solution, name) < 1:
+            raise SerializationError(
+                f"malformed solution payload: {name} must be at least 1, "
+                f"got {getattr(solution, name)}"
+            )
+    transform = solution.transform
+    ndim = solution.pattern.ndim
+    if len(transform.alpha) != ndim or len(transform.extents) not in (0, ndim):
+        raise SerializationError(
+            f"malformed solution payload: a {ndim}-D pattern needs {ndim} alpha "
+            f"components and 0 or {ndim} extents, got {len(transform.alpha)} "
+            f"and {len(transform.extents)}"
+        )
     # Sanity: the recorded bank hash must still separate the pattern to the
     # recorded delta; a corrupted file should not silently mis-bank.  Each
     # physical bank serves ``bank_ports`` accesses per cycle, so the busiest

@@ -86,6 +86,33 @@ class TestSolutionRoundtrip:
         with pytest.raises(SerializationError):
             solution_from_dict(payload)
 
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("n_banks", 0, "n_banks must be at least 1"),
+            ("n_unconstrained", 0, "n_unconstrained must be at least 1"),
+            ("bank_ports", 0, "bank_ports must be at least 1"),
+            ("alpha", [5], "needs 2 alpha components and 0 or 2 extents, got 1 and 2"),
+            ("alpha", [5, 1, 1], "got 3 and 2"),
+            ("extents", [5], "got 2 and 1"),
+        ],
+        ids=[
+            "zero-banks",
+            "zero-unconstrained",
+            "zero-ports",
+            "short-alpha",
+            "long-alpha",
+            "short-extents",
+        ],
+    )
+    def test_out_of_range_field_rejected(self, field, value, match):
+        """Counts below 1 and vectors of the wrong length are malformed
+        documents, not a raw ZeroDivisionError or DimensionMismatchError."""
+        payload = solution_to_dict(partition(log_pattern()))
+        payload[field] = value
+        with pytest.raises(SerializationError, match=match):
+            solution_from_dict(payload)
+
 
 class TestFiles:
     def test_solution_file_roundtrip(self, tmp_path):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.core import (
     OpCounter,
     Pattern,
@@ -14,12 +15,14 @@ from repro.core import (
     same_size_sweep,
 )
 from repro.patterns import (
+    BENCHMARKS,
     EXPECTED_BANKS,
     gaussian_pattern,
     log_pattern,
     median_pattern,
     prewitt_pattern,
 )
+from repro.verify.gen import generate_case
 
 
 class TestPairwiseDifferences:
@@ -95,6 +98,120 @@ class TestMinimizeNf:
         n_f, transform, _ = minimize_nf(log_pattern(), transform=t)
         assert transform is t
         assert n_f == 13
+
+
+def _reference_minimize_nf(pattern, transform, ops):
+    """Algorithm 1 charged op by op: per-offset ``apply``, the pairwise
+    multiset, the histogram ``E`` and one charge per step of the ``N``
+    search.  :func:`minimize_nf` charges in bulk and must match it exactly,
+    category by category and in first-charge order."""
+    z = [transform.apply(delta, ops) for delta in pattern.offsets]
+    m = pattern.size
+    if m == 1:
+        return 1, z
+    diffs = pairwise_differences(z, ops)
+    max_diff = max(diffs)
+    ops.compare(len(diffs))
+    occurrences = [0] * (max_diff + 1)
+    for d in diffs:
+        occurrences[d] += 1
+    n_f, k = m, 1
+    while True:
+        ops.mul()
+        multiple = k * n_f
+        ops.compare()
+        if multiple > max_diff:
+            return n_f, z
+        ops.compare()
+        ops.add()
+        if occurrences[multiple] != 0:
+            n_f, k = n_f + 1, 1
+        else:
+            k += 1
+
+
+def _algorithm1_cases():
+    for name, factory in sorted(BENCHMARKS.items()):
+        yield name, factory()
+    for index in range(64):
+        case = generate_case(seed=20250808, index=index)
+        yield f"verify-{index}", Pattern(case.offsets)
+    yield "singleton", Pattern([(3, 3)])
+    yield "dense-line", Pattern([(i,) for i in range(6)])
+    # Sparse: candidates with more multiples below M than Q has members.
+    yield "sparse-1d", Pattern([(0,), (5,), (97,), (300,)])
+    yield "sparse-2d", Pattern([(0, 0), (0, 90), (70, 3)])
+
+
+class TestBulkChargesMatchTheReference:
+    @pytest.mark.parametrize("label, pattern", list(_algorithm1_cases()))
+    def test_same_answer_and_same_charges(self, label, pattern):
+        transform = derive_alpha(pattern)
+        bulk, reference = OpCounter(), OpCounter()
+        n_f, used, z = minimize_nf(pattern, transform=transform, ops=bulk)
+        assert used is transform
+        assert (n_f, z) == _reference_minimize_nf(pattern, transform, reference)
+        assert list(bulk.counts.items()) == list(reference.counts.items()), label
+
+    def test_huge_spread_is_searched_through_q(self):
+        """M = 2^70: the pseudo code's 2^69 steps rejecting N = 2 and its
+        2^70 // 3 + 1 steps accepting N = 3 are charged, not walked."""
+        ops = OpCounter()
+        n_f, _, _ = minimize_nf(Pattern([(0,), (1 << 70,)]), ops=ops)
+        assert n_f == 3
+        steps = (1 << 69) + (1 << 70) // 3 + 1
+        assert ops.counts["mul"] == 2 + steps  # two for z, one per step
+
+
+#: ``partition(p, ops=...).counts`` on the Table 1 patterns.  The totals
+#: are the "ours" column of ``TestTable1OpsColumn``; these pin each
+#: category, so a charge moved from one category to another fails here.
+TABLE1_OPS_BY_CATEGORY = {
+    "log": {"add": 16, "compare": 133, "mul": 29, "sub": 80},
+    "canny": {"add": 27, "compare": 401, "mul": 52, "sub": 302},
+    "prewitt": {"add": 11, "compare": 63, "mul": 19, "sub": 30},
+    "se": {"add": 8, "compare": 33, "mul": 13, "sub": 12},
+    "sobel3d": {"add": 56, "compare": 484, "mul": 82, "sub": 328},
+    "median": {"add": 11, "compare": 54, "mul": 18, "sub": 23},
+    "gaussian": {"add": 16, "compare": 83, "mul": 25, "sub": 38},
+}
+
+#: The ``ops`` of the ``solve.transform``, ``solve.qset_build`` and
+#: ``solve.select_n`` spans of the same calls, with observability on.
+TABLE1_PHASE_OPS = {
+    "log": (96, 156, 6),
+    "canny": (180, 600, 2),
+    "prewitt": (61, 56, 6),
+    "se": (40, 20, 6),
+    "sobel3d": (294, 650, 6),
+    "median": (54, 42, 10),
+    "gaussian": (68, 72, 22),
+}
+
+
+class TestTable1OpsByCategory:
+    @pytest.mark.parametrize("name", sorted(TABLE1_OPS_BY_CATEGORY))
+    def test_category_counts(self, name):
+        ops = OpCounter()
+        partition(BENCHMARKS[name](), ops=ops)
+        assert ops.counts == TABLE1_OPS_BY_CATEGORY[name]
+
+    @pytest.mark.parametrize("name", sorted(TABLE1_PHASE_OPS))
+    def test_phase_span_ops(self, name):
+        obs.enable()
+        obs.reset()
+        try:
+            partition(BENCHMARKS[name](), ops=OpCounter())
+            phases = {record.name: record.ops for record in obs.tracer().records()}
+        finally:
+            obs.reset()
+            obs.reset_from_env()
+        got = tuple(
+            phases[phase]
+            for phase in ("solve.transform", "solve.qset_build", "solve.select_n")
+        )
+        assert got == TABLE1_PHASE_OPS[name]
+        assert phases["solve.minimize_nf"] == sum(got)
 
 
 class TestFastNc:

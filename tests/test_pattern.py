@@ -192,6 +192,13 @@ class TestDerived:
     def test_with_name(self):
         assert Pattern([(0,)]).with_name("x").name == "x"
 
+    def test_with_name_shares_the_validated_offsets(self):
+        base = Pattern([(2, 1), (0, 3)], name="a")
+        twin = base.with_name("b")
+        assert twin.offsets is base.offsets
+        assert twin == base and hash(twin) == hash(base)
+        assert (base.name, twin.name) == ("a", "b")
+
 
 class TestMask:
     def test_to_mask_roundtrip(self):

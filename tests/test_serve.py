@@ -523,9 +523,11 @@ class TestBackpressure:
             max_pending=1,
             retry_after_s=2.0,
         ) as srv:
-            slow = threading.Thread(
-                target=lambda: ServeClient(port=srv.port).solve(benchmark="median")
-            )
+            def occupy():
+                with ServeClient(port=srv.port) as busy:
+                    busy.solve(benchmark="median")
+
+            slow = threading.Thread(target=occupy)
             slow.start()
             time.sleep(0.15)  # let the slow solve occupy the queue
             with ServeClient(port=srv.port) as client:

@@ -24,6 +24,7 @@ from repro.core.cache import (
     solve_key,
 )
 from repro.core.pattern import Pattern
+from repro.patterns.library import BENCHMARKS
 from repro.verify.gen import generate_case, symmetry_variants
 
 #: Chiral 2-D pattern: no reflection or permutation maps it onto itself,
@@ -114,7 +115,7 @@ class TestCanonicalKeyOrbitInvariance:
 
 
 class TestCanonicalMemoSeed:
-    """A walk also memoizes its representative, mapped to itself."""
+    """Canonicalizing also memoizes the representative, mapped to itself."""
 
     def test_seeded_answer_equals_a_fresh_walk_across_strata(self):
         """``canonicalize(canon)`` answered from the seed is what a walk over
@@ -140,25 +141,104 @@ class TestCanonicalMemoSeed:
                 assert seeded[0].offsets == fresh[0].offsets == canon.offsets
                 assert seeded[1] == fresh[1], (index, variant)
                 assert fresh[1].is_identity
+                walked, perm, flips = cache_mod._walk_orbit(canon.offsets)
+                assert walked == canon.offsets
+                assert SymmetryOp(perm=perm, flips=flips) == seeded[1]
             dims.add(pattern.ndim)
         assert dims == {1, 2, 3, 4}
 
     def test_solving_a_canonical_pattern_walks_no_orbit(self, monkeypatch):
         """The server solves the canonical spec it computed: the solver's
-        own ``canonicalize`` of it is a memo hit, not a second walk."""
+        own ``canonicalize`` of it is a memo hit, not a second orbit."""
         cache_mod._canon_memo.clear()
+        orbits = {"n": 0}
+        real = cache_mod._orbit_minimum
+
+        def counting(offsets, ndim):
+            orbits["n"] += 1
+            return real(offsets, ndim)
+
+        monkeypatch.setattr(cache_mod, "_orbit_minimum", counting)
         canon, op = canonicalize(CORNER.reflected((0,)))
         assert not op.is_identity
-        walks = {"n": 0}
-        real = cache_mod._normalize_raw
-
-        def counting(offsets):
-            walks["n"] += 1
-            return real(offsets)
-
-        monkeypatch.setattr(cache_mod, "_normalize_raw", counting)
+        assert orbits["n"] == 1  # a new pattern pays for its orbit once
         solve(canon, (16, 16), n_max=8, cache=False)
-        assert walks["n"] == 0
+        assert orbits["n"] == 1
+
+
+class TestOnePassOrbit:
+    """``canonicalize`` builds the orbit in one pass; the walk is its oracle.
+
+    Equal means the same representative *and* the same op: ties between
+    group elements must resolve to the first in the walk's enumeration.
+    """
+
+    @staticmethod
+    def _assert_matches_walk(pattern):
+        cache_mod._canon_memo.clear()
+        canon, op = canonicalize(pattern)
+        walked = cache_mod._walk_orbit(pattern.offsets)
+        assert (canon.offsets, op.perm, op.flips) == walked, pattern.offsets
+
+    def test_verify_strata_and_their_symmetry_variants(self):
+        dims = set()
+        for index in range(32):
+            case = generate_case(seed=20250808, index=index)
+            pattern = Pattern(case.offsets)
+            self._assert_matches_walk(pattern)
+            for kind in ("reflection", "permutation", "composed"):
+                for _tag, variant, _shape in symmetry_variants(
+                    pattern, case.shape, kind, seed=index, count=2
+                ):
+                    self._assert_matches_walk(variant)
+            dims.add(pattern.ndim)
+        assert dims == {1, 2, 3, 4}
+
+    @pytest.mark.parametrize("name", ["log", "se", "sobel3d"])
+    def test_self_symmetric_patterns_keep_the_first_tied_op(self, name):
+        """Every reflection maps these onto themselves, so many group
+        elements tie on the representative."""
+        pattern = BENCHMARKS[name]()
+        self._assert_matches_walk(pattern)
+        for axes in ((0,), (pattern.ndim - 1,), tuple(range(pattern.ndim))):
+            self._assert_matches_walk(pattern.reflected(axes))
+
+    @pytest.mark.parametrize("name", ["log", "canny", "sobel3d"])
+    def test_far_translated_patterns(self, name):
+        """Only the bounding box is capped at admission, so offsets near
+        2^70 with a small spread reach ``canonicalize``."""
+        base = BENCHMARKS[name]()
+        shift = ((1 << 70) + 3, -(1 << 70), 1 << 69)[: base.ndim]
+        far = base.translated(shift)
+        self._assert_matches_walk(far)
+        self._assert_matches_walk(far.reflected((0,)))
+        assert canonicalize(far)[0].offsets == canonicalize(base)[0].offsets
+
+    def test_extents_past_int64_sort_exactly(self):
+        for offsets in (
+            ((0, 0), ((1 << 64) + 1, 1), (3, 1 << 66)),
+            ((0,), (1 << 65,), (7,)),
+            ((0, 0, 5), (1 << 63, 2, 0), (1, 1 << 64, 1)),
+        ):
+            self._assert_matches_walk(Pattern(offsets))
+
+    def test_beyond_max_ndim_builds_no_orbit(self, monkeypatch):
+        def refuse(offsets, ndim):
+            raise AssertionError("5-D patterns use the translation quotient")
+
+        monkeypatch.setattr(cache_mod, "_orbit_minimum", refuse)
+        pattern = Pattern(((3,) * 5, (4, 3, 4, 3, 4)), name="five")
+        canon, op = canonicalize(pattern)
+        assert op.is_identity
+        assert canon.offsets == ((0,) * 5, (1, 0, 1, 0, 1))
+        assert canon.name == "five"
+
+    def test_a_hit_relabels_the_memoized_pattern(self):
+        cache_mod._canon_memo.clear()
+        first, _ = canonicalize(Pattern(CORNER.offsets, name="a"))
+        second, _ = canonicalize(Pattern(CORNER.offsets, name="b"))
+        assert (first.name, second.name) == ("a", "b")
+        assert second.offsets is first.offsets
 
 
 class TestWarmHitEqualsColdSolve:

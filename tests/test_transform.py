@@ -85,6 +85,24 @@ class TestApply:
         LinearTransform(alpha=(5, 1)).apply((1, 2), ops)
         assert ops.counts == {"mul": 2, "add": 1}
 
+    @pytest.mark.parametrize(
+        "pattern",
+        [Pattern([(0,), (4,), (9,)]), log_pattern(), sobel3d_pattern()],
+        ids=["1d", "log", "sobel3d"],
+    )
+    def test_transform_pattern_charges_what_apply_charges(self, pattern):
+        """Bulk charges: ``n·m`` multiplications and ``(n−1)·m`` additions,
+        with no ``add`` entry at all for a 1-D pattern."""
+        transform = derive_alpha(pattern)
+        bulk, per_offset = OpCounter(), OpCounter()
+        z = transform.transform_pattern(pattern, bulk)
+        assert z == [transform.apply(d, per_offset) for d in pattern.offsets]
+        assert list(bulk.counts.items()) == list(per_offset.counts.items())
+
+    def test_transform_pattern_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            LinearTransform(alpha=(5, 1)).transform_pattern(sobel3d_pattern())
+
 
 class TestTheorem1:
     def test_holds_for_all_benchmarks(self, all_benchmarks):
