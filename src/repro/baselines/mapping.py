@@ -217,7 +217,7 @@ def _block_spec(mapping: BlockBankMapping) -> dict:
 register_bulk_kernel(CyclicBankMapping, _cyclic_kernel)
 register_bulk_kernel(BlockBankMapping, _block_kernel)
 
-# The same types also opt into the compiled tier's fused trace kernel
+# The same types also opt into the compiled tier's load and sweep kernels
 # (engine="native"); registration is pure metadata and costs nothing when
 # the extension cannot load.
 register_native_spec(CyclicBankMapping, _cyclic_spec)

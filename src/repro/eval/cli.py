@@ -50,10 +50,13 @@ def _add_ltb_engine(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_emit_metrics(parser: argparse.ArgumentParser) -> None:
+    from ..obs.export import metrics_path
+
     parser.add_argument(
         "--emit-metrics",
         metavar="PATH",
         default=None,
+        type=metrics_path,
         help="write the telemetry snapshot to PATH (.json, .csv, or .prom)",
     )
 

@@ -1,8 +1,9 @@
 """Compiled fast tier (``engine="native"``), built on first use.
 
 The hand-written C extension :mod:`repro.native._native` implements the two
-hottest inner loops of the reproduction — whole-trace banked-memory conflict
-simulation and the per-``N`` LTB candidate scan — and is exposed through the
+hottest inner loops of the reproduction — the banked-memory simulation (load,
+domain walk, guards and conflict accounting) and the per-``N`` LTB candidate
+scan — and is exposed through the
 existing ``engine=`` dispatch in :func:`repro.sim.memsim.simulate_sweep` and
 :func:`repro.baselines.ltb.ltb_partition`.  There is no build step:
 
@@ -23,7 +24,7 @@ existing ``engine=`` dispatch in :func:`repro.sim.memsim.simulate_sweep` and
 
 Like the NumPy bulk tier's kernel registry
 (:func:`repro.core.vectorized.register_bulk_kernel`), mapping types opt into
-the *fused* native trace kernel by registering a spec builder with
+the native load and sweep kernels by registering a spec builder with
 :func:`register_native_spec` (keyed by exact type — subclasses do not
 inherit, mirroring the conservative bulk dispatch).  The stock
 :class:`~repro.core.mapping.BankMapping` registers here; the cyclic/block
@@ -65,7 +66,7 @@ __all__ = [
 SOURCE = Path(__file__).with_name("_nativemodule.c")
 #: What ``PyInit__native`` sets ``ABI_VERSION`` to; a cached module
 #: reporting anything else is not loaded.
-ABI_VERSION = 1
+ABI_VERSION = 2
 #: A compile running longer than this leaves the tier unavailable.
 COMPILE_TIMEOUT_S = 60.0
 #: How many trailing compiler stderr lines a build failure quotes.
@@ -272,22 +273,24 @@ def build_info() -> Dict[str, Any]:
     }
 
 
-# -- fused-kernel spec registry ---------------------------------------------
+# -- native kernel spec registry --------------------------------------------
 
-#: A native spec builder: ``mapping -> dict`` of fused-kernel parameters
-#: (see ``repro.sim.native`` for the consumer).
+#: A native spec builder: ``mapping -> dict`` of kernel parameters (see
+#: ``repro.sim.native`` for the consumer).
 NativeSpecBuilder = Callable[[Any], Dict[str, Any]]
 
 _NATIVE_SPECS: Dict[type, NativeSpecBuilder] = {}
 
 
 def register_native_spec(mapping_type: type, builder: NativeSpecBuilder) -> None:
-    """Register a fused native trace-kernel spec for a mapping type.
+    """Register a native load-and-sweep spec for a mapping type.
 
     The builder must describe address math identical to the type's scalar
-    ``address_of`` — the dual-engine test matrix and the ``repro.verify``
-    differential oracles enforce exactly that.  Lookup is by exact type,
-    like :func:`repro.core.vectorized.register_bulk_kernel`.
+    ``address_of``.  The kernels cannot check that at runtime: their load
+    and sweep both follow the spec, so a spec that is injective but wrong
+    passes every guard.  The tri-engine test matrix and the
+    ``repro.verify`` differential oracles enforce it.  Lookup is by exact
+    type, like :func:`repro.core.vectorized.register_bulk_kernel`.
     """
     if not (isinstance(mapping_type, type) and issubclass(mapping_type, BankMapping)):
         raise MappingError(
@@ -306,7 +309,7 @@ def has_native_spec(mapping_type: type) -> bool:
 
 
 def native_spec_for(mapping: BankMapping) -> Optional[Dict[str, Any]]:
-    """The fused-kernel spec for ``mapping``, or None (hybrid path)."""
+    """The native kernel spec for ``mapping``, or None (hybrid path)."""
     builder = _NATIVE_SPECS.get(type(mapping))
     return None if builder is None else builder(mapping)
 
@@ -315,7 +318,7 @@ _SCHEME_CODES = {"two-level": 1, "wide": 2}
 
 
 def _linear_spec(mapping: BankMapping) -> Dict[str, Any]:
-    """Fused-kernel parameters for the stock Section 4.4 mapping.
+    """Native kernel parameters for the stock Section 4.4 mapping.
 
     Unknown scheme labels fold into the direct formula, matching
     ``PartitionSolution.bank_of``'s fall-through.

@@ -187,6 +187,21 @@ def write_metrics_prometheus(path: str, metrics: MetricsRegistry | None = None) 
         handle.write(to_prometheus_text(metrics))
 
 
+def metrics_path(value: str) -> str:
+    """The ``--emit-metrics`` argument type: ``value`` if its directory exists.
+
+    Checked when the command line is parsed, so a mistyped directory is a
+    one-line usage error before the run, not a traceback after it.
+    """
+    import argparse
+    import os
+
+    directory = os.path.dirname(value) or os.curdir
+    if not os.path.isdir(directory):
+        raise argparse.ArgumentTypeError(f"directory {directory!r} does not exist")
+    return value
+
+
 def emit_metrics(
     path: Optional[str],
     conflicts: ConflictTable | None = None,

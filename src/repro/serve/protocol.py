@@ -49,7 +49,7 @@ from ..core.vectorized import (
     DEFAULT_MAX_GRID_ELEMENTS,
     grid_size,
 )
-from ..errors import ReproError
+from ..errors import ReproError, SimulationError
 from ..io import pattern_to_dict, solution_to_dict
 
 #: Structured error codes carried in ``{"error": {"code": ...}}``.
@@ -319,6 +319,12 @@ def parse_simulate_spec(doc: Any) -> SimulateSpec:
             f"simulate shape {list(spec.shape)} has {volume} elements, above "
             f"the cap of {DEFAULT_MAX_GRID_ELEMENTS}"
         )
+    from ..sim.trace import domain_ranges  # local: repro.sim is heavy to import
+
+    try:
+        domain_ranges(spec.pattern, spec.shape)
+    except SimulationError as exc:
+        raise BadRequestError(str(exc)) from exc
     step = _parse_optional_int(doc, "step", 1)
     ports = _parse_optional_int(doc, "ports", 1)
     engine = doc.get("engine", "auto")

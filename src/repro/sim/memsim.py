@@ -139,7 +139,7 @@ def resolve_engine(mapping: BankMapping, engine: str = "auto") -> str:
     Selection order for ``"auto"``: ``native`` (when the compiled
     extension, built on first use, loads) → ``vectorized`` → ``scalar``.
     The native engine shares the vectorized
-    engine's eligibility rule — its fused kernels and hybrid bulk path
+    engine's eligibility rule — its kernels and hybrid bulk path
     recompute addresses from the mapping's *formulas*, so a subclass that
     overrides the scalar address methods must fall back to scalar.
 

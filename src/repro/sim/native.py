@@ -1,56 +1,165 @@
-"""Native (compiled) sweep simulation: the chunk loop with C inner kernels.
+"""Native (compiled) sweep simulation: the whole measurement in C.
 
-Structure mirrors :mod:`repro.sim.vectorized` — same load pass, same
-row-major iteration chunking, same error semantics — but the per-chunk hot
-work runs inside :mod:`repro.native._native`:
+Mappings with a registered **native spec**
+(:func:`repro.native.register_native_spec`: the stock Section 4.4 mapping
+in its direct, two-level and wide schemes, and the cyclic/block baselines)
+run in two calls into :mod:`repro.native._native`.  Both reduce an element
+``x`` to one integer ``T`` — ``(α·x) mod KN`` for the linear schemes, the
+banked coordinate for cyclic/block — kept as a (quotient, remainder) pair
+by ``N`` (the chunk for block).  One part picks the bank from a table of
+about ``N`` entries built once per call; the other scales into the in-bank
+offset.  Pairs add with one carry, so no read divides:
 
-* Mappings with a registered **native spec**
-  (:func:`repro.native.register_native_spec`: the stock Section 4.4 mapping
-  and the cyclic/block baselines) take the *fused* path — ``sweep_chunk``
-  does address translation, the uninitialized-read guard, the verify
-  comparison, and bank-conflict accounting in a single C pass per read,
-  never materializing the ``(count·m)`` element/bank/offset intermediates.
-* Bulk-capable mappings *without* a spec (``PackedBankMapping``, any type
-  registered only via :func:`repro.core.vectorized.register_bulk_kernel`)
-  take the **hybrid** path — addresses come from the NumPy bulk kernel
-  exactly as in the vectorized engine, and only the conflict-accounting
-  segment (``conflict_stats``) moves to C.
+* ``load_banks`` scatters the array into flat bank storage in row-major
+  order, last write wins, carrying the pair along each row, and checks
+  every offset against its bank's ``bank_size``.
+* ``sweep`` walks the strided iteration domain itself.  Each pattern
+  offset's pair and address ravels are computed once per call, the loop
+  offset's once per row and then carried along it.  Every read passes the
+  out-of-range guard, the uninitialized-read guard and, with ``verify``,
+  the comparison with the source array.  Cycles and failed port claims
+  come from tables over ``k = 0 … m`` claims of one bank.  Where the
+  remainder picks the bank (linear, cyclic), an iteration's banks depend on
+  its loop offset's remainder alone, so without attribution the accounting
+  runs once per remainder, weighted by its visits; otherwise once per
+  iteration.
+
+Both kernels take offsets relative to the array's origin (loop offsets
+plus the pattern's minimum corner, pattern offsets less it), so every
+coordinate lies in ``[0, shape)``: a pattern translated far beyond int64
+simulates like any other, and the products with ``α`` are taken in 128
+bits.  Error messages are rebuilt from the original offsets.
+
+The load reaches an element along array rows and the sweep along
+iteration rows plus per-offset terms, so the two guards cross-check the
+two walks on every read.  What no runtime guard can see is a spec that is
+injective but disagrees with the mapping's formulas; the engine matrix and
+the ``repro.verify`` differential oracles catch that.
+
+Without attribution the sweep is one call over the whole domain.  With it,
+the domain goes in chunks of about :func:`~repro.core.vectorized.chunk_budget`
+reads, whose banks and cycles feed the conflict table.  Either way a
+missing read outranks a corruption found earlier in the same chunk, as in
+the NumPy engine.
+
+Bulk-capable mappings *without* a spec (``PackedBankMapping``, any type
+registered only via :func:`repro.core.vectorized.register_bulk_kernel`)
+take the **hybrid** path: the NumPy engine's load and addresses, with only
+the conflict accounting (``conflict_stats``) in C.
 
 Both paths produce the identical :class:`~repro.sim.vectorized.SweepStats`
-— bit for bit, including error messages — which the dual-engine test matrix
-and the ``repro.verify`` differential oracles enforce.
+of the other engines, bit for bit and with the same error messages.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.mapping import BankMapping
-from ..core.vectorized import bulk_addresses, chunk_budget
+from ..core.vectorized import bulk_addresses, chunk_budget, grid_size
 from ..errors import SimulationError
 from ..native import native_spec_for, require
 from ..obs.conflicts import ConflictTable
 from ..obs.tracer import span
-from .trace import domain_ranges
 from .vectorized import (
     SweepStats,
+    _check_array_shape,
     _iteration_block,
     _loaded_storage,
+    _origin_deltas,
     _raise_corruption,
+    _sweep_domain,
 )
 
 _STATUS_OK = 0
 _STATUS_MISSING = 1
 _STATUS_CORRUPT = 2
 _STATUS_BAD_ADDRESS = 3
+_STATUS_OUT_OF_RANGE = 4
 
 
-def _raise_missing(elements_row: "np.ndarray") -> None:
+def _raise_missing(element: Sequence[int]) -> None:
     raise SimulationError(
-        "read of uninitialized element "
-        f"{tuple(int(c) for c in elements_row)}"
+        f"read of uninitialized element {tuple(int(c) for c in element)}"
+    )
+
+
+def _raise_bad_address(kernel: str, element: Sequence[int]) -> None:
+    raise SimulationError(
+        f"native {kernel} kernel computed an out-of-range address for "
+        f"element {tuple(int(c) for c in element)}; the mapping's native "
+        "spec disagrees with its allocation"
+    )
+
+
+def _bank_layout(mapping: BankMapping) -> Tuple["np.ndarray", "np.ndarray"]:
+    """Per-bank sizes (``mapping.bank_size``) and their flat-storage bases."""
+    sizes = np.array(
+        [mapping.bank_size(b) for b in range(mapping.n_banks)], dtype=np.int64
+    )
+    bases = np.concatenate(([0], np.cumsum(sizes)[:-1])).astype(np.int64)
+    return sizes, bases
+
+
+def _kernel_layout(spec: Dict[str, Any], shape: Tuple[int, ...]) -> tuple:
+    """The leading arguments of ``load_banks`` and ``sweep``.
+
+    The spec's integer fields, ``α`` reduced modulo the window (only
+    ``(α·x) mod KN`` is ever used, and the reduction keeps any ``α`` in
+    int64), the bank shape and the array shape.
+    """
+    window = spec.get("window", 1)
+    alpha = spec.get("alpha")
+    fields = (
+        spec["kind"],
+        spec.get("scheme", 0),
+        spec["n_banks"],
+        spec.get("inner", 1),
+        window,
+        spec.get("bank_ports", 1),
+        spec.get("inner_bank_size", 1),
+        spec.get("dim", 0),
+        spec.get("divisor", 1),
+    )
+    return (
+        fields,
+        None
+        if alpha is None
+        else np.array([int(a) % window for a in alpha], dtype=np.int64),
+        np.array(spec["bank_shape"], dtype=np.int64),
+        np.array(shape, dtype=np.int64),
+    )
+
+
+def _sweep_stats(
+    mapping: BankMapping,
+    iterations: int,
+    total: int,
+    worst: int,
+    hist_acc: "np.ndarray",
+    occupancy: "np.ndarray",
+    sizes: "np.ndarray",
+    ports: int,
+    conflict_totals: "np.ndarray",
+    access_totals: "np.ndarray",
+) -> SweepStats:
+    n_banks = mapping.n_banks
+    return SweepStats(
+        iterations=iterations,
+        total_cycles=total,
+        worst_cycles=worst,
+        cycle_histogram={
+            int(c): int(hist_acc[c]) for c in np.nonzero(hist_acc)[0]
+        },
+        bank_utilization={
+            b: (int(occupancy[b]) / int(sizes[b]) if int(sizes[b]) else 0.0)
+            for b in range(n_banks)
+        },
+        ports_per_bank=ports,
+        bank_conflicts={b: int(conflict_totals[b]) for b in range(n_banks)},
+        bank_accesses={b: int(access_totals[b]) for b in range(n_banks)},
     )
 
 
@@ -72,210 +181,181 @@ def simulate_sweep_native(
     engines.
     """
     compiled = require()
+    spec = native_spec_for(mapping)
+    if spec is None:
+        return _simulate_hybrid(
+            compiled, mapping, array, step, limit, ports_per_bank, verify,
+            attribution, chunk,
+        )
     solution = mapping.solution
     pattern = solution.pattern
     ports = max(ports_per_bank, solution.bank_ports)
     n_banks = mapping.n_banks
-
-    sizes = np.array(
-        [mapping.bank_size(b) for b in range(n_banks)], dtype=np.int64
-    )
-    bases = np.concatenate(([0], np.cumsum(sizes)[:-1])).astype(np.int64)
+    m = pattern.size
+    shape = mapping.shape
+    layout = _kernel_layout(spec, shape)
+    sizes, bases = _bank_layout(mapping)
 
     with span("sim.load_array"):
         if array is None:
-            array = np.arange(
-                int(np.prod(mapping.shape)), dtype=np.int64
-            ).reshape(mapping.shape)
+            flat = np.arange(grid_size(shape), dtype=np.int64)
+        else:
+            data = np.asarray(array)
+            _check_array_shape(mapping, data)
+            flat = np.ascontiguousarray(data, dtype=np.int64).reshape(-1)
+        slots = int(sizes.sum())
+        storage = np.zeros(slots, dtype=np.int64)
+        written = np.zeros(slots, dtype=np.uint8)
+        occupancy = np.zeros(n_banks, dtype=np.int64)
+        status, index, bank, offset = compiled.load_banks(
+            *layout, flat, bases, sizes, storage, written, occupancy
+        )
+        if status == _STATUS_OUT_OF_RANGE:
+            raise SimulationError(
+                f"offset {offset} out of range for bank {bank} of size "
+                f"{int(sizes[bank])}"
+            )
+        if status != _STATUS_OK:
+            _raise_bad_address("load", np.unravel_index(index, shape))
+
+    with span("sim.trace_build"):
+        ranges, lens, total_iterations = _sweep_domain(mapping, step, limit)
+        deltas = _origin_deltas(pattern)
+        steps = np.array([r.step for r in ranges], dtype=np.int64)
+        lens_arr = np.array(lens, dtype=np.int64)
+
+    # Chunks bound the attribution buffers and set error precedence.
+    iter_chunk = max(1, chunk_budget(chunk) // max(m, n_banks))
+    # Ports beyond m change no cycle count; clamping keeps them in int64.
+    arith_ports = min(ports, m)
+    hist_acc = np.zeros(-(-m // arith_ports) + 1, dtype=np.int64)
+    conflict_totals = np.zeros(n_banks, dtype=np.int64)
+    access_totals = np.zeros(n_banks, dtype=np.int64)
+    got = np.empty(m, dtype=np.int64)
+    per_call = iter_chunk if attribution is not None else total_iterations
+    total = 0
+    worst = 0
+
+    with span("sim.sweep_loop", iterations=total_iterations, verify=verify):
+        for lo in range(0, total_iterations, per_call):
+            hi = min(lo + per_call, total_iterations)
+            count = hi - lo
+            cycles_out = banks_out = None
+            if attribution is not None:
+                cycles_out = np.empty(count, dtype=np.int64)
+                banks_out = np.empty(count * m, dtype=np.int64)
+            status, err_iter, err_read, call_total, call_worst = compiled.sweep(
+                *layout, deltas, m, steps, lens_arr, lo, hi, iter_chunk, bases,
+                storage, written, flat, arith_ports, 1 if verify else 0,
+                hist_acc, conflict_totals, access_totals, cycles_out,
+                banks_out, got,
+            )
+            if status != _STATUS_OK:
+                relative = np.array(np.unravel_index(err_iter, lens)) * steps
+                elements = relative + deltas
+                if status == _STATUS_CORRUPT:
+                    expected = flat[np.ravel_multi_index(tuple(elements.T), shape)]
+                    _raise_corruption(ranges, relative, got, expected)
+                if status == _STATUS_MISSING:
+                    _raise_missing(elements[err_read])
+                _raise_bad_address("sweep", elements[err_read])
+            total += call_total
+            worst = max(worst, call_worst)
+            if attribution is not None:
+                for banks, cycles in zip(
+                    banks_out.reshape(count, m).tolist(), cycles_out.tolist()
+                ):
+                    attribution.record_iteration(pattern.offsets, banks, cycles)
+
+    return _sweep_stats(
+        mapping, total_iterations, total, worst, hist_acc, occupancy, sizes,
+        ports, conflict_totals, access_totals,
+    )
+
+
+def _simulate_hybrid(
+    compiled: Any,
+    mapping: BankMapping,
+    array: "np.ndarray" | None,
+    step: int,
+    limit: int | None,
+    ports_per_bank: int,
+    verify: bool,
+    attribution: Optional[ConflictTable],
+    chunk: int | None,
+) -> SweepStats:
+    """NumPy bulk addresses (identical to the vectorized engine), C
+    conflict accounting."""
+    solution = mapping.solution
+    pattern = solution.pattern
+    ports = max(ports_per_bank, solution.bank_ports)
+    n_banks = mapping.n_banks
+    m = pattern.size
+    shape = mapping.shape
+    sizes, bases = _bank_layout(mapping)
+
+    with span("sim.load_array"):
+        if array is None:
+            array = np.arange(grid_size(shape), dtype=np.int64).reshape(shape)
         storage, written = _loaded_storage(mapping, array, bases, sizes, chunk)
-        occupancy = np.add.reduceat(written, bases) if n_banks else np.array([])
+        occupancy = np.add.reduceat(written, bases)
         flat_array = np.asarray(array).reshape(-1)
 
     with span("sim.trace_build"):
-        ranges = domain_ranges(pattern, mapping.shape, step)
-        lens = tuple(len(r) for r in ranges)
-        total_iterations = 1
-        for n in lens:
-            total_iterations *= n
-        if limit is not None:
-            total_iterations = min(total_iterations, limit)
-        if total_iterations < 1:
-            raise SimulationError("empty trace: domain produced no iterations")
-        deltas = np.ascontiguousarray(pattern.offsets, dtype=np.int64)
-        m = pattern.size
-        ndim = len(lens)
-        shape_arr = np.ascontiguousarray(mapping.shape, dtype=np.int64)
+        ranges, lens, total_iterations = _sweep_domain(mapping, step, limit)
+        deltas = _origin_deltas(pattern)
 
-    spec = native_spec_for(mapping)
-    written_u8 = np.ascontiguousarray(written.view(np.uint8))
-    flat_i64 = (
-        np.ascontiguousarray(flat_array, dtype=np.int64) if verify else None
-    )
-
-    budget = chunk_budget(chunk)
-    iter_chunk = max(1, budget // max(m, n_banks))
-
-    max_cycles = -(-m // ports)
-    hist_acc = np.zeros(max_cycles + 1, dtype=np.int64)
+    iter_chunk = max(1, chunk_budget(chunk) // max(m, n_banks))
+    arith_ports = min(ports, m)
+    hist_acc = np.zeros(-(-m // arith_ports) + 1, dtype=np.int64)
     conflict_totals = np.zeros(n_banks, dtype=np.int64)
     access_totals = np.zeros(n_banks, dtype=np.int64)
     total = 0
     worst = 0
-    pattern_offsets = pattern.offsets
-
-    need_attr = attribution is not None
 
     with span("sim.sweep_loop", iterations=total_iterations, verify=verify):
         for lo in range(0, total_iterations, iter_chunk):
             hi = min(lo + iter_chunk, total_iterations)
             block = _iteration_block(ranges, lens, lo, hi)
             count = hi - lo
-            cycles_out = np.empty(count, dtype=np.int64) if need_attr else None
+            elements = (block[:, None, :] + deltas[None, :, :]).reshape(-1, len(lens))
+            banks, offsets = bulk_addresses(mapping, elements)
+            addresses = bases[banks] + offsets
 
-            if spec is not None:
-                banks_out = (
-                    np.empty(count * m, dtype=np.int64) if need_attr else None
-                )
-                alpha = spec.get("alpha")
-                status, err_index, chunk_total, chunk_worst = (
-                    compiled.sweep_chunk(
-                        block,
-                        deltas,
-                        count,
-                        m,
-                        ndim,
-                        spec["kind"],
-                        spec.get("scheme", 0),
-                        spec["n_banks"],
-                        spec.get("inner", 1),
-                        spec.get("window", 1),
-                        spec.get("bank_ports", 1),
-                        spec.get("inner_bank_size", 1),
-                        spec.get("dim", 0),
-                        spec.get("divisor", 1),
-                        None
-                        if alpha is None
-                        else np.ascontiguousarray(alpha, dtype=np.int64),
-                        np.ascontiguousarray(spec["bank_shape"], dtype=np.int64),
-                        shape_arr,
-                        bases,
-                        storage,
-                        written_u8,
-                        flat_i64,
-                        ports,
-                        1 if verify else 0,
-                        hist_acc,
-                        conflict_totals,
-                        access_totals,
-                        cycles_out,
-                        banks_out,
-                    )
-                )
-                if status != _STATUS_OK:
-                    # Reconstruct the exact NumPy-engine error for the
-                    # offending read/iteration (cheap: one iteration).
-                    if status == _STATUS_MISSING:
-                        i, j = divmod(err_index, m)
-                        _raise_missing(block[i] + deltas[j])
-                    if status == _STATUS_CORRUPT:
-                        i = err_index
-                        elements = block[i][None, :] + deltas
-                        banks_i, offsets_i = bulk_addresses(mapping, elements)
-                        values = storage[bases[banks_i] + offsets_i].reshape(
-                            1, m
-                        )
-                        linear = np.ravel_multi_index(
-                            tuple(elements.T),
-                            tuple(int(w) for w in shape_arr),
-                        )
-                        expected = (
-                            flat_array[linear].astype(np.int64).reshape(1, m)
-                        )
-                        _raise_corruption(block[i : i + 1], values, expected, 0)
-                    raise SimulationError(
-                        "native sweep kernel computed an out-of-range "
-                        f"address (chunk read index {err_index}); the "
-                        "mapping's native spec disagrees with its allocation"
-                    )
-                if need_attr:
-                    banks_matrix = banks_out.reshape(count, m)
-            else:
-                # Hybrid: NumPy bulk addresses (identical to the vectorized
-                # engine), C conflict accounting.
-                elements = (block[:, None, :] + deltas[None, :, :]).reshape(
-                    -1, ndim
-                )
-                banks, offsets = bulk_addresses(mapping, elements)
-                addresses = bases[banks] + offsets
+            missing = ~written[addresses]
+            if missing.any():
+                _raise_missing(elements[int(np.nonzero(missing)[0][0])])
+            if verify:
+                values = storage[addresses].reshape(count, m)
+                linear = np.ravel_multi_index(tuple(elements.T), shape)
+                expected = flat_array[linear].astype(np.int64).reshape(count, m)
+                mismatch = values != expected
+                if mismatch.any():
+                    row = int(np.nonzero(mismatch.any(axis=1))[0][0])
+                    _raise_corruption(ranges, block[row], values[row], expected[row])
 
-                missing = ~written[addresses]
-                if missing.any():
-                    _raise_missing(elements[int(np.nonzero(missing)[0][0])])
-                if verify:
-                    values = storage[addresses].reshape(count, m)
-                    linear = np.ravel_multi_index(
-                        tuple(elements.T), tuple(int(w) for w in shape_arr)
-                    )
-                    expected = (
-                        flat_array[linear].astype(np.int64).reshape(count, m)
-                    )
-                    mismatch = values != expected
-                    if mismatch.any():
-                        _raise_corruption(
-                            block,
-                            values,
-                            expected,
-                            int(np.nonzero(mismatch.any(axis=1))[0][0]),
-                        )
-
-                banks_c = np.ascontiguousarray(banks, dtype=np.int64)
-                status, err_index, chunk_total, chunk_worst = (
-                    compiled.conflict_stats(
-                        banks_c,
-                        count,
-                        m,
-                        n_banks,
-                        ports,
-                        hist_acc,
-                        conflict_totals,
-                        access_totals,
-                        cycles_out,
-                    )
+            banks_c = np.ascontiguousarray(banks, dtype=np.int64)
+            cycles_out = (
+                np.empty(count, dtype=np.int64) if attribution is not None else None
+            )
+            status, err_index, chunk_total, chunk_worst = compiled.conflict_stats(
+                banks_c, count, m, n_banks, arith_ports, hist_acc,
+                conflict_totals, access_totals, cycles_out,
+            )
+            if status != _STATUS_OK:  # pragma: no cover - defensive
+                raise SimulationError(
+                    f"bulk kernel produced bank index out of range at "
+                    f"chunk read index {err_index}"
                 )
-                if status != _STATUS_OK:  # pragma: no cover - defensive
-                    raise SimulationError(
-                        f"bulk kernel produced bank index out of range at "
-                        f"chunk read index {err_index}"
-                    )
-                if need_attr:
-                    banks_matrix = banks_c.reshape(count, m)
-
             total += int(chunk_total)
             worst = max(worst, int(chunk_worst))
+            if attribution is not None:
+                for banks_row, cycles in zip(
+                    banks_c.reshape(count, m).tolist(), cycles_out.tolist()
+                ):
+                    attribution.record_iteration(pattern.offsets, banks_row, cycles)
 
-            if need_attr:
-                for i in range(count):
-                    attribution.record_iteration(
-                        pattern_offsets,
-                        [int(b) for b in banks_matrix[i]],
-                        int(cycles_out[i]),
-                    )
-
-    histogram: Dict[int, int] = {
-        int(c): int(hist_acc[c])
-        for c in np.nonzero(hist_acc)[0]
-    }
-    utilization = {
-        b: (int(occupancy[b]) / int(sizes[b]) if int(sizes[b]) else 0.0)
-        for b in range(n_banks)
-    }
-    return SweepStats(
-        iterations=total_iterations,
-        total_cycles=total,
-        worst_cycles=worst,
-        cycle_histogram=histogram,
-        bank_utilization=utilization,
-        ports_per_bank=ports,
-        bank_conflicts={b: int(conflict_totals[b]) for b in range(n_banks)},
-        bank_accesses={b: int(access_totals[b]) for b in range(n_banks)},
+    return _sweep_stats(
+        mapping, total_iterations, total, worst, hist_acc, occupancy, sizes,
+        ports, conflict_totals, access_totals,
     )

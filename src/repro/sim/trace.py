@@ -32,8 +32,10 @@ def domain_ranges(
     """Per-dimension loop ranges keeping the whole pattern inside the array.
 
     The validated building block shared by the scalar trace generator and
-    the vectorized simulator: both must agree exactly on the iteration
-    domain, so both derive it from this one function.
+    the bulk simulators: all must agree exactly on the iteration domain,
+    so all derive it from this one function.  A ``step`` longer than an
+    axis's span is clamped to the span, which visits the same single
+    offset and keeps the step within int64 for the bulk engines.
     """
     if step < 1:
         raise SimulationError(f"step must be positive, got {step}")
@@ -51,7 +53,7 @@ def domain_ranges(
             raise SimulationError(
                 f"array of shape {dims} too small for pattern extent along dim {j}"
             )
-        ranges.append(range(start, stop, step))
+        ranges.append(range(start, stop, min(step, stop - start)))
     return ranges
 
 

@@ -34,12 +34,18 @@ coordinate rows (``chunk=`` overrides the default).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.mapping import BankMapping
-from ..core.vectorized import bulk_addresses, chunk_budget, iter_element_chunks
+from ..core.pattern import Pattern
+from ..core.vectorized import (
+    bulk_addresses,
+    chunk_budget,
+    grid_size,
+    iter_element_chunks,
+)
 from ..errors import SimulationError
 from ..obs.conflicts import ConflictTable
 from ..obs.tracer import span
@@ -65,6 +71,14 @@ class SweepStats:
     bank_accesses: Dict[int, int]
 
 
+def _check_array_shape(mapping: BankMapping, data: "np.ndarray") -> None:
+    if data.shape != mapping.shape:
+        raise SimulationError(
+            f"array shape {data.shape} does not match mapping shape "
+            f"{mapping.shape}"
+        )
+
+
 def _loaded_storage(
     mapping: BankMapping,
     array: "np.ndarray",
@@ -74,11 +88,7 @@ def _loaded_storage(
 ) -> Tuple["np.ndarray", "np.ndarray"]:
     """Scatter the array into flat bank storage; return (values, written)."""
     data = np.asarray(array)
-    if data.shape != mapping.shape:
-        raise SimulationError(
-            f"array shape {data.shape} does not match mapping shape "
-            f"{mapping.shape}"
-        )
+    _check_array_shape(mapping, data)
     flat = data.reshape(-1)
     total_slots = int(bases[-1] + sizes[-1]) if len(sizes) else 0
     storage = np.zeros(total_slots, dtype=np.int64)
@@ -99,29 +109,60 @@ def _loaded_storage(
     return storage, written
 
 
+def _sweep_domain(
+    mapping: BankMapping, step: int, limit: int | None
+) -> Tuple[List[range], Tuple[int, ...], int]:
+    """The sweep's loop ranges, their lengths, and the iterations to run."""
+    ranges = domain_ranges(mapping.solution.pattern, mapping.shape, step)
+    lens = tuple(len(r) for r in ranges)
+    total = grid_size(lens)
+    if limit is not None:
+        total = min(total, limit)
+    if total < 1:
+        raise SimulationError("empty trace: domain produced no iterations")
+    return ranges, lens, total
+
+
+def _origin_deltas(pattern: Pattern) -> "np.ndarray":
+    """The pattern's offsets less its minimum corner ``mins``, as (m, n).
+
+    The bulk engines take loop offsets plus ``mins`` and pattern offsets
+    less it.  Every element ``s + d`` stays the same and every coordinate
+    lies in ``[0, shape)``, so a pattern translated far beyond int64 still
+    fits.
+    """
+    low = pattern.mins
+    return np.array(
+        [[c - lo for c, lo in zip(offset, low)] for offset in pattern.offsets],
+        dtype=np.int64,
+    )
+
+
 def _iteration_block(
-    ranges, lens: Tuple[int, ...], lo: int, hi: int
+    ranges: Sequence[range], lens: Tuple[int, ...], lo: int, hi: int
 ) -> "np.ndarray":
-    """Loop offsets for row-major strided-domain indices ``lo … hi - 1``."""
+    """Loop offsets for row-major strided-domain indices ``lo … hi - 1``,
+    relative to the origin (the domain starts at ``-mins``)."""
     linear = np.arange(lo, hi, dtype=np.int64)
     coords = np.unravel_index(linear, lens)
     block = np.empty((hi - lo, len(lens)), dtype=np.int64)
     for dim, rng in enumerate(ranges):
-        block[:, dim] = rng.start + coords[dim] * rng.step
+        block[:, dim] = coords[dim] * rng.step
     return block
 
 
 def _raise_corruption(
-    offsets_block: "np.ndarray",
-    values: "np.ndarray",
-    expected: "np.ndarray",
-    iteration: int,
+    ranges: Sequence[range],
+    relative: Sequence[int],
+    got: Sequence[int],
+    expected: Sequence[int],
 ) -> None:
-    got = [int(v) for v in values[iteration]]
-    want = [int(v) for v in expected[iteration]]
-    offset = tuple(int(c) for c in offsets_block[iteration])
+    """The scalar engine's corruption error for the iteration whose loop
+    offset, relative to the origin, is ``relative``."""
+    offset = tuple(rng.start + int(c) for rng, c in zip(ranges, relative))
     raise SimulationError(
-        f"data corruption at offset {offset}: got {got}, expected {want}"
+        f"data corruption at offset {offset}: got {[int(v) for v in got]}, "
+        f"expected {[int(v) for v in expected]}"
     )
 
 
@@ -161,21 +202,14 @@ def simulate_sweep_vectorized(
         flat_array = np.asarray(array).reshape(-1)
 
     with span("sim.trace_build"):
-        ranges = domain_ranges(pattern, mapping.shape, step)
-        lens = tuple(len(r) for r in ranges)
-        total_iterations = 1
-        for n in lens:
-            total_iterations *= n
-        if limit is not None:
-            total_iterations = min(total_iterations, limit)
-        if total_iterations < 1:
-            raise SimulationError("empty trace: domain produced no iterations")
-        deltas = np.asarray(pattern.offsets, dtype=np.int64)
+        ranges, lens, total_iterations = _sweep_domain(mapping, step, limit)
+        deltas = _origin_deltas(pattern)
         m = pattern.size
-        shape_arr = np.asarray(mapping.shape, dtype=np.int64)
 
     budget = chunk_budget(chunk)
     iter_chunk = max(1, budget // max(m, n_banks))
+    # Ports beyond m change no cycle count; clamping keeps them in int64.
+    arith_ports = min(ports, m)
 
     histogram: Dict[int, int] = {}
     total = 0
@@ -201,13 +235,12 @@ def simulate_sweep_vectorized(
                 )
             if verify:
                 values = storage[addresses].reshape(count, m)
-                linear = np.ravel_multi_index(tuple(elements.T), tuple(int(w) for w in shape_arr))
+                linear = np.ravel_multi_index(tuple(elements.T), mapping.shape)
                 expected = flat_array[linear].astype(np.int64).reshape(count, m)
                 mismatch = values != expected
                 if mismatch.any():
-                    _raise_corruption(
-                        block, values, expected, int(np.nonzero(mismatch.any(axis=1))[0][0])
-                    )
+                    row = int(np.nonzero(mismatch.any(axis=1))[0][0])
+                    _raise_corruption(ranges, block[row], values[row], expected[row])
 
             keys = (
                 np.repeat(np.arange(count, dtype=np.int64), m) * n_banks + banks
@@ -215,7 +248,7 @@ def simulate_sweep_vectorized(
             per_bank = np.bincount(keys, minlength=count * n_banks).reshape(
                 count, n_banks
             )
-            cycles = -(-per_bank.max(axis=1) // ports)
+            cycles = -(-per_bank.max(axis=1) // arith_ports)
 
             counts = np.bincount(cycles)
             for value in np.nonzero(counts)[0]:
@@ -227,8 +260,8 @@ def simulate_sweep_vectorized(
 
             # Failed port claims per (iteration, bank), in closed form:
             # q = floor((k - 1) / ports) retry rounds, each losing k - j*ports.
-            q = np.maximum(per_bank - 1, 0) // ports
-            failed = q * per_bank - ports * (q * (q + 1) // 2)
+            q = np.maximum(per_bank - 1, 0) // arith_ports
+            failed = q * per_bank - arith_ports * (q * (q + 1) // 2)
             conflict_totals += failed.sum(axis=0)
             access_totals += per_bank.sum(axis=0)
 

@@ -20,6 +20,7 @@ import json
 import sys
 from typing import Optional, Sequence
 
+from ..obs.export import metrics_path
 from .runner import SuiteReport, replay_paths, run_suite
 from .shrink import DEFAULT_BUDGET
 
@@ -101,7 +102,7 @@ def main_verify(argv: Sequence[str] | None = None) -> int:
         help=f"max oracle re-runs per shrink (default {DEFAULT_BUDGET})",
     )
     parser.add_argument(
-        "--emit-metrics", metavar="PATH", default=None,
+        "--emit-metrics", metavar="PATH", default=None, type=metrics_path,
         help="write the telemetry snapshot to PATH (.json, .csv, or .prom)",
     )
     args = parser.parse_args(argv)

@@ -123,7 +123,7 @@ class TestLoader:
         monkeypatch.setattr(native, "_loader", native._Loader())
         _forbid(monkeypatch, "_compile")
         again = native.build_info()
-        assert again["available"] and again["abi_version"] == 1
+        assert again["available"] and again["abi_version"] == native.ABI_VERSION == 2
         assert again["path"] == info["path"]
         assert again["build_s"] is None
 
@@ -283,7 +283,7 @@ class TestBuildInfo:
         assert set(info) == {"available", "abi_version", "import_error", "path", "build_s"}
         assert info["available"] is (_BUILT is not None)
         if _BUILT is not None:
-            assert info["abi_version"] == 1
+            assert info["abi_version"] == native.ABI_VERSION == 2
             assert info["import_error"] is None
             assert Path(info["path"]).parent == native.cache_dir()
         else:
@@ -340,6 +340,66 @@ class TestSpecRegistry:
 
         with pytest.raises(MappingError, match="not callable"):
             native.register_native_spec(Sub2, None)
+
+
+@needs_build
+class TestSweepKernelArguments:
+    def _arguments(self, with_cycles, with_banks):
+        """A valid ``sweep`` call on a clean load, with the per-iteration
+        outputs chosen by the caller."""
+        import numpy as np
+
+        from repro.sim.native import _bank_layout, _kernel_layout
+        from repro.sim.vectorized import _origin_deltas, _sweep_domain
+
+        compiled = native.require()
+        mapping = _mapping()
+        layout = _kernel_layout(native.native_spec_for(mapping), mapping.shape)
+        sizes, bases = _bank_layout(mapping)
+        flat = np.arange(12 * 14, dtype=np.int64)
+        storage = np.zeros(int(sizes.sum()), dtype=np.int64)
+        written = np.zeros(int(sizes.sum()), dtype=np.uint8)
+        occupancy = np.zeros(mapping.n_banks, dtype=np.int64)
+        assert compiled.load_banks(
+            *layout, flat, bases, sizes, storage, written, occupancy
+        )[0] == 0
+        ranges, lens, total = _sweep_domain(mapping, 1, None)
+        m = mapping.solution.pattern.size
+        return compiled.sweep, (
+            *layout,
+            _origin_deltas(mapping.solution.pattern),
+            m,
+            np.array([r.step for r in ranges], dtype=np.int64),
+            np.array(lens, dtype=np.int64),
+            0,
+            total,
+            total,
+            bases,
+            storage,
+            written,
+            flat,
+            1,
+            1,
+            np.zeros(m + 1, dtype=np.int64),
+            np.zeros(mapping.n_banks, dtype=np.int64),
+            np.zeros(mapping.n_banks, dtype=np.int64),
+            np.empty(total, dtype=np.int64) if with_cycles else None,
+            np.empty(total * m, dtype=np.int64) if with_banks else None,
+            np.empty(m, dtype=np.int64),
+        )
+
+    @pytest.mark.parametrize("with_cycles, with_banks", [(True, True), (False, False)])
+    def test_outputs_together_run(self, with_cycles, with_banks):
+        sweep, args = self._arguments(with_cycles, with_banks)
+        assert sweep(*args)[0] == 0
+
+    @pytest.mark.parametrize("with_cycles, with_banks", [(True, False), (False, True)])
+    def test_one_output_without_the_other_is_a_value_error(
+        self, with_cycles, with_banks
+    ):
+        sweep, args = self._arguments(with_cycles, with_banks)
+        with pytest.raises(ValueError, match="both cycles_out and banks_out"):
+            sweep(*args)
 
 
 class TestVerifyDegradation:

@@ -333,6 +333,32 @@ class TestCli:
             main_profile(["nonsense!!"])
         obs.disable()
 
+    @pytest.mark.parametrize("command", ["table1", "verify"])
+    def test_emit_metrics_into_missing_directory_fails_before_any_work(
+        self, tmp_path, capsys, command
+    ):
+        from repro.eval.cli import main_table1
+        from repro.verify.cli import main_verify
+
+        missing = tmp_path / "missing"
+        argv = ["--emit-metrics", str(missing / "m.json")]
+        with pytest.raises(SystemExit) as info:
+            if command == "table1":
+                main_table1(
+                    ["--benchmarks", "median", "--repetitions", "1", "--no-paper"]
+                    + argv
+                )
+            else:
+                main_verify(["--cases", "2"] + argv)
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # no table, no verify report: nothing ran
+        assert (
+            f"argument --emit-metrics: directory {str(missing)!r} does not exist"
+            in captured.err
+        )
+        assert not missing.exists()
+
     def test_emit_metrics_table1(self, tmp_path, capsys):
         from repro.eval.cli import main_table1
 

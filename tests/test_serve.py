@@ -676,6 +676,53 @@ class TestSimulateEndpoint:
         assert _scheduled() == before
         assert client.healthz()["store"]["entries"] == 0
 
+    @pytest.mark.parametrize("shape, dim", [([2, 2], 0), ([64, 2], 1)])
+    def test_too_small_shape_is_400_before_any_solve(self, client, shape, dim):
+        before = _scheduled()
+        status, data, _ = client._request(
+            "POST", "/simulate", {"benchmark": "se", "shape": shape}
+        )
+        assert status == 400, data
+        assert json.loads(data)["error"] == {
+            "code": "bad_request",
+            "message": f"array of shape {tuple(shape)} too small for pattern "
+            f"extent along dim {dim}",
+        }
+        assert _scheduled() == before
+        assert client.healthz()["store"]["entries"] == 0
+
+    @pytest.mark.parametrize("field", ["step", "ports"])
+    def test_boundary_integer_knobs_answer_like_in_process(self, client, field):
+        # 2**63 does not fit int64: the bulk engines clamp it before any
+        # int64 arithmetic, so the reply matches the scalar reference.
+        from repro.core.mapping import BankMapping
+        from repro.sim.memsim import simulate_sweep
+
+        knob = {"step": "step", "ports": "ports_per_bank"}[field]
+        doc = client.simulate(benchmark="log", shape=(16, 16), **{field: 2**63})
+        direct = solve(log_pattern(), shape=(16, 16), cache=False).solution
+        mapping = BankMapping(solution=direct, shape=(16, 16))
+        assert doc["report"] == simulate_sweep(
+            mapping, engine="scalar", **{knob: 2**63}
+        ).to_dict()
+        assert doc["report"]["ports_per_bank"] == (2**63 if field == "ports" else 1)
+
+
+    @pytest.mark.parametrize(
+        "shift", [(2**63 // 5 - 2, 0), (2**62, -(2**62)), (2**70, -(2**70))]
+    )
+    def test_far_translated_pattern_answers_like_scalar(self, client, shift):
+        # The request's offsets reach the simulator untouched; the bulk
+        # engines shift them to the array's origin before any int64 math.
+        from repro.core.mapping import BankMapping
+        from repro.sim.memsim import simulate_sweep
+
+        pattern = log_pattern().translated(shift)
+        doc = client.simulate(pattern=pattern, shape=(16, 16))
+        direct = solve(pattern, shape=(16, 16), cache=False).solution
+        mapping = BankMapping(solution=direct, shape=(16, 16))
+        assert doc["report"] == simulate_sweep(mapping, engine="scalar").to_dict()
+
 
 class TestTable1Endpoint:
     def test_single_row(self, client):

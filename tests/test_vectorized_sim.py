@@ -19,22 +19,30 @@ visible reason when it is not:
 
 from __future__ import annotations
 
+import sys
 import tracemalloc
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import native
 from repro.core import BankMapping, Pattern, partition, same_size_sweep
 from repro.core.opcount import OpCounter
 from repro.core.packed import PackedBankMapping
+from repro.core.solver import solve
 from repro.core.vectorized import (
     DEFAULT_CHUNK_ELEMENTS,
+    bulk_bank_of,
+    bulk_offset_of,
     chunk_budget,
     element_grid,
     grid_size,
     iter_element_chunks,
+    register_bulk_kernel,
 )
 from repro.errors import MappingError, SimulationError
 import importlib
@@ -56,6 +64,36 @@ def mapping_for(pattern=None, shape=(12, 14), **kwargs):
     )
 
 
+@dataclass(frozen=True)
+class ShortRowsMapping(BankMapping):
+    """Section 4.4 with one row too few per bank: offsets stay in range,
+    but elements of a row collide."""
+
+    @property
+    def rows_per_bank(self) -> int:
+        return super().rows_per_bank - 1
+
+
+@dataclass(frozen=True)
+class ShortBanksMapping(BankMapping):
+    """Stock addresses in banks one slot too small: the last slot overruns."""
+
+    def bank_size(self, bank: int) -> int:
+        return super().bank_size(bank) - 1
+
+
+def _stock_bulk_kernel(mapping, elements):
+    return bulk_bank_of(mapping, elements), bulk_offset_of(mapping, elements)
+
+
+# Both faulty types share one formula across the scalar address methods
+# (through the overridden geometry), the bulk kernel and the native spec,
+# so every engine runs them and must fail the same way.
+for _faulty in (ShortRowsMapping, ShortBanksMapping):
+    register_bulk_kernel(_faulty, _stock_bulk_kernel)
+    native.register_native_spec(_faulty, native._linear_spec)
+
+
 # -- engine equivalence ----------------------------------------------------
 
 
@@ -69,6 +107,14 @@ class TestEngineEquivalence:
             {"limit": 7},
             {"verify": False},
             {"step": 3, "ports_per_bank": 3},
+            # Boundary integers: beyond int64, the bulk engines clamp
+            # before any int64 arithmetic.
+            {"step": 2**62},
+            {"step": 2**63},
+            {"step": 2**70},
+            {"ports_per_bank": 2**62},
+            {"ports_per_bank": 2**63},
+            {"ports_per_bank": 2**70},
         ],
     )
     def test_reports_bit_identical(self, kwargs, fast_engine):
@@ -76,6 +122,49 @@ class TestEngineEquivalence:
         scalar = simulate_sweep(mapping, engine="scalar", **kwargs)
         fast = simulate_sweep(mapping, engine=fast_engine, **kwargs)
         assert scalar == fast
+
+    @pytest.mark.parametrize(
+        "shift",
+        [(2**63 // 5 - 2, 0), (2**62, -(2**62)), (2**70, 0), (-(2**70), 2**70)],
+        ids=["int64-wrap", "2^62", "2^70", "-2^70"],
+    )
+    def test_far_translated_pattern_matches_scalar(self, shift, fast_engine):
+        # The bulk engines take offsets relative to the array's origin.  With
+        # alpha_0 = 5, 5 * (2**63 // 5 - 2 + d) leaves int64 for some of the
+        # pattern's d while the loop start's product does not, so a kernel
+        # multiplying alpha by raw offsets reads the wrong slots; offsets past
+        # int64 must not overflow either.
+        pattern = log_pattern().translated(shift)
+        mapping = BankMapping(solution=partition(pattern), shape=(16, 16))
+        assert mapping.solution.transform.alpha == (5, 1)
+        assert mapping.solution.pattern.mins == shift
+        for kwargs in ({}, {"step": 2, "ports_per_bank": 2, "verify": False}):
+            assert simulate_sweep(
+                mapping, engine=fast_engine, **kwargs
+            ) == simulate_sweep(mapping, engine="scalar", **kwargs)
+        tables = [ConflictTable(1), ConflictTable(1)]
+        for engine, table in zip(("scalar", fast_engine), tables):
+            simulate_sweep(mapping, engine=engine, conflicts=table)
+        assert tables[0].cycle_histogram == tables[1].cycle_histogram
+        assert (
+            tables[0].observed_bank_conflicts == tables[1].observed_bank_conflicts
+        )
+
+    @pytest.mark.parametrize("size", [24, 1100], ids=["tables", "no-tables"])
+    def test_one_dimensional_patterns_match_scalar(self, size, fast_engine):
+        # 1100 offsets need about 1100 banks: more (remainder, read) cells
+        # than the native sweep tabulates, so its reads take the per-read
+        # arithmetic instead.
+        pattern = Pattern([(2 * i,) for i in range(size)])
+        mapping = BankMapping(solution=partition(pattern), shape=(2 * size + 9,))
+        for kwargs in ({}, {"step": 3, "ports_per_bank": 2}):
+            assert simulate_sweep(
+                mapping, engine=fast_engine, **kwargs
+            ) == simulate_sweep(mapping, engine="scalar", **kwargs)
+        tables = [ConflictTable(1), ConflictTable(1)]
+        for engine, table in zip(("scalar", fast_engine), tables):
+            simulate_sweep(mapping, engine=engine, conflicts=table)
+        assert tables[0].cycle_histogram == tables[1].cycle_histogram
 
     def test_constrained_solution(self, fast_engine):
         mapping = mapping_for(log_pattern(), shape=(19, 23), n_max=4)
@@ -178,6 +267,87 @@ class TestEngineErrorPaths:
         table = ConflictTable(3)
         with pytest.raises(SimulationError, match="conflict table expects"):
             simulate_sweep(mapping_for(), conflicts=table, engine=sim_engine)
+
+    @pytest.mark.parametrize("kwargs", [{}, {"step": 2}, {"verify": True, "limit": 50}])
+    def test_non_injective_formula_is_one_corruption_everywhere(self, kwargs):
+        mapping = ShortRowsMapping(solution=partition(log_pattern()), shape=(12, 14))
+        # Rows 0-5 hold zeros, so their collisions read back right; the
+        # first wrong value is a later iteration's.
+        array = np.arange(12 * 14, dtype=np.int64).reshape(12, 14) * 3 - 7
+        array[:6] = 0
+        messages = {}
+        for engine in ("scalar", "vectorized", "native"):
+            if engine == "native" and not native.available():
+                continue
+            with pytest.raises(SimulationError) as info:
+                simulate_sweep(mapping, array=array, engine=engine, **kwargs)
+            messages[engine] = str(info.value)
+        assert len(set(messages.values())) == 1, messages
+        # The loop starts at (0, 0); (4, 0) is the first loop offset that
+        # reads a nonzero element a later element of its row overwrote.
+        assert messages["scalar"].startswith("data corruption at offset (4, 0): ")
+
+    def test_far_translated_corruption_names_the_original_offset(self):
+        # Offsets relative to the origin inside the kernels; the message
+        # still names the caller's loop offset, far beyond int64.
+        shift = (2**70, -(2**70))
+        pattern = log_pattern().translated(shift)
+        mapping = ShortRowsMapping(solution=partition(pattern), shape=(12, 14))
+        array = np.arange(12 * 14, dtype=np.int64).reshape(12, 14) * 3 - 7
+        array[:6] = 0
+        messages = {}
+        for engine in ("scalar", "vectorized", "native"):
+            if engine == "native" and not native.available():
+                continue
+            with pytest.raises(SimulationError) as info:
+                simulate_sweep(mapping, array=array, engine=engine)
+            messages[engine] = str(info.value)
+        assert len(set(messages.values())) == 1, messages
+        offset = (4 - shift[0], 0 - shift[1])
+        assert messages["scalar"].startswith(f"data corruption at offset {offset}: ")
+
+    def test_overrunning_formula_is_one_load_error(self, fast_engine):
+        mapping = ShortBanksMapping(solution=partition(log_pattern()), shape=(12, 14))
+        size = mapping.bank_size(0)
+        expected = f"offset {size} out of range for bank 0 of size {size}"
+        with pytest.raises(SimulationError) as info:
+            simulate_sweep(mapping, engine=fast_engine)
+        assert str(info.value) == expected
+        with pytest.raises(SimulationError) as info:
+            simulate_sweep(mapping, engine="scalar")
+        assert str(info.value) == expected
+
+
+@pytest.mark.slow
+def test_benchmark_simulations_agree_on_every_engine(fast_engines):
+    """The 64×64 simulations ``perfbench`` times, on all three engines.
+
+    The benchmark re-checks only a few served reports, each against the
+    engine under test; here the scalar reference is the oracle.
+    """
+    root = Path(__file__).resolve().parent.parent
+    if str(root) not in sys.path:
+        sys.path.insert(0, str(root))
+    from perfbench.specs import simulate_specs
+    from repro.serve.protocol import parse_simulate_spec
+
+    for request in simulate_specs(1, 12):
+        spec = parse_simulate_spec(request.doc).solve
+        solution = solve(
+            spec.pattern,
+            shape=spec.shape,
+            n_max=spec.n_max,
+            objective=spec.objective,
+            delta_max=spec.delta_max,
+            cache=False,
+        ).solution
+        mapping = BankMapping(solution=solution, shape=spec.shape)
+        scalar = simulate_sweep(mapping, engine="scalar")
+        for engine in fast_engines:
+            assert simulate_sweep(mapping, engine=engine) == scalar, (
+                engine,
+                request.doc,
+            )
 
 
 # -- property tests --------------------------------------------------------
