@@ -3,8 +3,9 @@
 Unlike the ``bench_*`` pytest benches (which regenerate *paper numbers*),
 this suite tracks the *implementation's* speed across PRs: solver, sweep,
 and simulator timings for scalar vs vectorized engines and cold vs warm
-cache, written as one JSON document at the repo root so CI can archive the
-trajectory.
+cache, written as one JSON document (``BENCH_perf.json`` in the current
+directory unless ``--output`` says otherwise; CI runs it from the repo
+root) so CI can archive the trajectory.
 
 Run directly (not through pytest)::
 
@@ -742,8 +743,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument(
         "--output",
-        default=str(REPO_ROOT / "BENCH_perf.json"),
-        help="output path (default: BENCH_perf.json at the repo root)",
+        default="BENCH_perf.json",
+        help="output path (default: BENCH_perf.json in the current directory)",
     )
     args = parser.parse_args(argv)
 

@@ -196,9 +196,16 @@ def _search_native(
     compiled = require()
     m, ndim = pattern.size, pattern.ndim
     _guard_candidate_space(n_banks, ndim)
-    deltas = np.ascontiguousarray(
-        np.asarray(pattern.offsets, dtype=np.int64).reshape(m, ndim)
-    )
+    try:
+        deltas = np.asarray(pattern.offsets, dtype=np.int64)
+    except OverflowError:
+        # Offsets past int64: the kernel reduces mod N anyway, so reduce
+        # them here first.
+        deltas = np.array(
+            [[d % n_banks for d in delta] for delta in pattern.offsets],
+            dtype=np.int64,
+        )
+    deltas = np.ascontiguousarray(deltas.reshape(m, ndim))
     alpha_out = np.zeros(ndim, dtype=np.int64)
     found, tried, compares = compiled.ltb_scan(
         deltas, m, ndim, n_banks, alpha_out
@@ -221,13 +228,15 @@ def _decode_block(
     ``itertools.product(range(N), repeat=n)`` enumerates big-endian
     mixed-radix numbers (rightmost digit fastest), so digit ``j`` of index
     ``i`` is ``(i // N^(n-1-j)) % N`` — extracted right to left with one
-    divmod per dimension.
+    divmod per dimension.  Indices and digits always fit int64, so an
+    ``object`` block is decoded in int64 and converted.
     """
-    linear = np.arange(lo, hi, dtype=dtype)
-    block = np.empty((hi - lo, ndim), dtype=dtype)
+    decode = np.int64 if dtype is object else dtype
+    linear = np.arange(lo, hi, dtype=decode)
+    block = np.empty((hi - lo, ndim), dtype=decode)
     for dim in range(ndim - 1, -1, -1):
         linear, block[:, dim] = np.divmod(linear, n_banks)
-    return block
+    return block.astype(dtype, copy=False)
 
 
 def _search_vectorized(
@@ -245,15 +254,26 @@ def _search_vectorized(
     """
     m, ndim = pattern.size, pattern.ndim
     total = _guard_candidate_space(n_banks, ndim)
-    deltas = np.asarray(pattern.offsets, dtype=np.int64).reshape(m, ndim).T
+    # Offsets reduced mod N (a component already inside (−N, N) kept as it
+    # is) leave every residue unchanged and bound each dot product by
+    # n·(N−1)², however far the pattern is translated.
+    reduced = [
+        [d if -n_banks < d < n_banks else d % n_banks for d in delta]
+        for delta in pattern.offsets
+    ]
     # Narrow dtypes when every intermediate (candidate index, dot product,
     # packed key) provably fits — int32 sorts are ~2x faster and dominate
-    # large blocks.
-    magnitude = int(np.abs(deltas).sum(axis=0).max())
-    fits32 = max(total, (n_banks - 1) * magnitude, n_banks * m + m) < 2**31
-    dtype = np.int32 if fits32 else np.int64
-    deltas = deltas.astype(dtype)
-    columns = np.arange(m, dtype=dtype)
+    # large blocks.  Python integers (object arrays) take the rest, which
+    # only a bank count near 3·10⁹ or beyond reaches.
+    widest = max(ndim * (n_banks - 1) ** 2, n_banks * m + m)
+    if max(total, widest) < 2**31:
+        dtype: type = np.int32
+    elif widest <= _INT64_LIMIT:
+        dtype = np.int64
+    else:
+        dtype = object
+    deltas = np.array(reduced, dtype=dtype).reshape(m, ndim).T
+    columns = np.arange(m).astype(dtype)
     block_vectors = max(1, ltb_chunk_budget(chunk) // m)
     for lo in range(0, total, block_vectors):
         hi = min(lo + block_vectors, total)

@@ -984,6 +984,87 @@ done:
 
 /* --------------------------------------------------------------- ltb_scan */
 
+/* (digits . delta) mod N for one offset whose components lie in (-N, N),
+ * so every product is below N^2 in magnitude.  The dot product fits int64
+ * while n (N-1)^2 does; past that (only N beyond ~3.0e9 / sqrt(n)) it is
+ * summed in 128 bits, which holds any N with N^n in int64.  `wide` is a
+ * constant at each call site. */
+static inline __attribute__((always_inline)) int64_t
+ltb_residue(const int64_t *digits, const int64_t *delta, Py_ssize_t n,
+            int64_t n_banks, const int wide)
+{
+    if (!wide) {
+        int64_t value = 0;
+        for (Py_ssize_t d = 0; d < n; d++)
+            value += digits[d] * delta[d];
+        return pymod(value, n_banks);
+    }
+    __int128 value = 0;
+    for (Py_ssize_t d = 0; d < n; d++)
+        value += (__int128)digits[d] * delta[d];
+    int64_t r = (int64_t)(value % n_banks);
+    return r < 0 ? r + n_banks : r;
+}
+
+/* The candidate loop over reduced offsets, from the all-zero vector in
+ * `digits`; leaves the first hit in `digits` and returns whether there is
+ * one.  Inlined once per value of `wide`. */
+static inline __attribute__((always_inline)) int
+ltb_search(const int64_t *reduced, Py_ssize_t m, Py_ssize_t n, int64_t n_banks,
+           const int wide, int64_t *stamp, int64_t *digits, int64_t *tried_out,
+           int64_t *compares_out)
+{
+    /* Locals, not the out-pointers: a store to `stamp` could alias them. */
+    int64_t tried = 0, compares = 0;
+    int found = 0;
+    for (;;) {
+        tried++;
+        /* Residue scan with early exit at the first duplicate; the charge
+         * model below only needs the stop index, not the skipped work
+         * (arithmetic is charged wholesale per tried vector in Python). */
+        int64_t t = m;
+        for (Py_ssize_t j = 0; j < m; j++) {
+            int64_t residue = ltb_residue(digits, reduced + j * n, n, n_banks, wide);
+            if (stamp[residue] == tried) {
+                t = j;
+                break;
+            }
+            stamp[residue] = tried;
+        }
+        int64_t scan = (t < m) ? t : m - 1;
+        compares += 1 + scan * (scan + 1) / 2;
+        if (t == m) {
+            found = 1;
+            break;
+        }
+        /* Odometer increment, rightmost digit fastest (itertools.product
+         * lexicographic order). */
+        Py_ssize_t d;
+        for (d = n - 1; d >= 0; d--) {
+            digits[d]++;
+            if (digits[d] < n_banks)
+                break;
+            digits[d] = 0;
+        }
+        if (d < 0)
+            break; /* candidate space exhausted */
+    }
+    *tried_out = tried;
+    *compares_out = compares;
+    return found;
+}
+
+/* The search past int64 products, kept out of ltb_scan's body so the
+ * common int64 loop compiles as if it were alone. */
+static __attribute__((noinline)) int
+ltb_search_wide(const int64_t *reduced, Py_ssize_t m, Py_ssize_t n,
+                int64_t n_banks, int64_t *stamp, int64_t *digits,
+                int64_t *tried, int64_t *compares)
+{
+    return ltb_search(reduced, m, n, n_banks, 1, stamp, digits, tried,
+                      compares);
+}
+
 static PyObject *
 ltb_scan(PyObject *self, PyObject *args)
 {
@@ -1001,7 +1082,7 @@ ltb_scan(PyObject *self, PyObject *args)
 
     I64Buf deltas = {0}, alpha = {0};
     Held held = {0};
-    int64_t *stamp = NULL, *digits = NULL;
+    int64_t *stamp = NULL, *digits = NULL, *reduced = NULL;
     PyObject *result = NULL;
 
     if (get_i64(&held, deltas_o, &deltas, 0, m * n, "deltas") < 0 ||
@@ -1010,62 +1091,44 @@ ltb_scan(PyObject *self, PyObject *args)
 
     stamp = (int64_t *)calloc((size_t)n_banks, sizeof(int64_t));
     digits = (int64_t *)calloc((size_t)n, sizeof(int64_t));
-    if (stamp == NULL || digits == NULL) {
+    reduced = (int64_t *)malloc((size_t)(m * n) * sizeof(int64_t));
+    if (stamp == NULL || digits == NULL || reduced == NULL) {
         PyErr_NoMemory();
         goto done;
     }
 
-    int found = 0;
+    /* Offsets reduced mod N once (C's `%` keeps the sign, so a component
+     * already inside (-N, N) stays as it is) leave every residue
+     * unchanged, however far the pattern is translated. */
+    for (Py_ssize_t i = 0; i < m * n; i++)
+        reduced[i] = deltas.data[i] % n_banks;
+    const uint64_t top = (uint64_t)(n_banks - 1);
+    const int wide =
+        top > 3037000499u || top * top > (uint64_t)INT64_MAX / (uint64_t)n;
+
+    int found;
     int64_t tried = 0;
     int64_t compares = 0;
 
     Py_BEGIN_ALLOW_THREADS
-    for (;;) {
-        tried++;
-        /* Residue scan with early exit at the first duplicate; the charge
-         * model below only needs the stop index, not the skipped work
-         * (arithmetic is charged wholesale per tried vector in Python). */
-        int64_t t = m;
-        for (Py_ssize_t j = 0; j < m; j++) {
-            const int64_t *delta = deltas.data + j * n;
-            int64_t value = 0;
-            for (Py_ssize_t d = 0; d < n; d++)
-                value += digits[d] * delta[d];
-            int64_t residue = pymod(value, n_banks);
-            if (stamp[residue] == tried) {
-                t = j;
-                break;
-            }
-            stamp[residue] = tried;
-        }
-        int64_t scan = (t < m) ? t : m - 1;
-        compares += 1 + scan * (scan + 1) / 2;
-        if (t == m) {
-            found = 1;
-            for (Py_ssize_t d = 0; d < n; d++)
-                alpha.data[d] = digits[d];
-            break;
-        }
-        /* Odometer increment, rightmost digit fastest (itertools.product
-         * lexicographic order). */
-        Py_ssize_t d2;
-        for (d2 = n - 1; d2 >= 0; d2--) {
-            digits[d2]++;
-            if (digits[d2] < n_banks)
-                break;
-            digits[d2] = 0;
-        }
-        if (d2 < 0)
-            break; /* candidate space exhausted */
-    }
+    if (wide)
+        found = ltb_search_wide(reduced, m, n, n_banks, stamp, digits, &tried,
+                                &compares);
+    else
+        found = ltb_search(reduced, m, n, n_banks, 0, stamp, digits, &tried,
+                           &compares);
     Py_END_ALLOW_THREADS
 
+    if (found)
+        for (Py_ssize_t d = 0; d < n; d++)
+            alpha.data[d] = digits[d];
     result = Py_BuildValue("iLL", found, (long long)tried,
                            (long long)compares);
 
 done:
     free(stamp);
     free(digits);
+    free(reduced);
     release_held(&held);
     return result;
 }

@@ -11,8 +11,10 @@ in front of them:
   429 backpressure, and repeats answered from the in-memory solve cache
   on its event loop.
 * :class:`~repro.serve.coalesce.Coalescer` — request coalescing (identical
-  canonical solves share one in-flight job) and micro-batching into an
-  inline solve on one executor thread (:func:`repro.sched.map_tasks`).
+  canonical solves share one in-flight job) and micro-batching into a
+  solve through :func:`repro.sched.map_tasks`, on the event loop when the
+  batch's work estimate fits the inline budget and on one executor thread
+  otherwise.
 * :class:`~repro.serve.store.SolutionStore` — a content-addressed,
   append-only log of solutions keyed by
   :func:`repro.core.cache.stable_digest`, LRU-bounded, layered under the

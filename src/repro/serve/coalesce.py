@@ -12,26 +12,33 @@ them.  Partitioning solves are CPU-bound, so the intake path:
    clients asking for translated — or reflected, or leading-axis permuted
    — copies of the same stencil cost exactly one solve.
 2. **Micro-batches** — queued distinct jobs drain in batches (up to
-   ``batch_max``) into one executor hop, so the event loop pays one
-   thread handoff per batch, not per request.
+   ``batch_max``), one batch at a time.  A batch whose specs' work
+   estimates (:meth:`~repro.serve.protocol.SolveSpec.work_estimate`) sum
+   to at most :data:`~repro.serve.protocol.INLINE_WORK_BUDGET` runs right
+   on the event loop: a small cold solve takes ~0.1 ms, less than the
+   thread handoff it would otherwise pay.  A batch over the budget, or
+   one carrying the test hook ``solve_delay_s``, takes one executor hop.
+   The ``serve.work.inline`` and ``serve.work.executor`` counters say
+   which way each batch went.
 3. **Checks the store first** — a :class:`~repro.serve.store.SolutionStore`
    hit resolves the job without any solve, which is what makes a warm
    restart serve its old working set with zero new solves.
-4. **Solves inline** — the misses run through the DAG scheduler
-   (:func:`repro.sched.map_tasks`, digest-keyed) in the server process, on
-   the batch's executor thread, with ``solve(..., cache=False)``: the
-   loop has already missed the in-memory cache for them.  The spec is
-   already canonical, and the loop's ``canonicalize`` memoized it as its
-   own representative, so the solver's ``canonicalize`` is a memo hit.
+4. **Solves in process** — the misses run through the DAG scheduler
+   (:func:`repro.sched.map_tasks`, digest-keyed), serially, wherever the
+   batch runs, with ``solve(..., cache=False)``: the loop has already
+   missed the in-memory cache for them.  The spec is already canonical,
+   and the loop's ``canonicalize`` memoized it as its own representative,
+   so the solver's ``canonicalize`` is a memo hit.
 5. **Appends** — each fresh solution is appended to the store's log, one
    ``os.write`` per solve.
 
 Every solution a batch produces — store hit or fresh solve — is put into
 the in-memory solve cache under the job's key, so the next request for it
-is answered on the loop.  The batch thread is the cache's one writer.
-Cancelling :meth:`Coalescer.run` cannot stop a batch already on its
-thread; :meth:`Coalescer.drain` waits for it, so a stopping server
-stores what that batch solved before it closes the store.
+is answered on the loop.  Batches run one at a time, so exactly one batch,
+on the loop or on its thread, writes the cache at any moment.  Cancelling
+:meth:`Coalescer.run` cannot stop a batch already on its thread;
+:meth:`Coalescer.drain` waits for it, so a stopping server stores what
+that batch solved before it closes the store.
 
 Jobs resolve to *outcome tuples* — ``("ok", PartitionSolution)`` or
 ``("err", code, message)`` — rather than raised exceptions, because one
@@ -61,7 +68,13 @@ from ..obs.metrics import registry as obs_registry
 from ..obs.tracecontext import trace
 from ..obs.tracer import span
 from ..sched import map_tasks
-from .protocol import ERROR_INFEASIBLE, ERROR_INTERNAL, ERROR_SHUTTING_DOWN, SolveSpec
+from .protocol import (
+    ERROR_INFEASIBLE,
+    ERROR_INTERNAL,
+    ERROR_SHUTTING_DOWN,
+    INLINE_WORK_BUDGET,
+    SolveSpec,
+)
 from .store import SolutionStore
 
 #: Outcome tuple: ("ok", solution) | ("err", code, message).
@@ -73,7 +86,7 @@ BatchItem = Tuple[str, Hashable, SolveSpec, Optional[str]]
 
 
 def _trace_ctx(trace_id: Optional[str]) -> "ContextManager[Any]":
-    """Re-enter a request's trace on an executor thread, if any."""
+    """Enter a request's trace for batch work done on its behalf, if any."""
     return trace(trace_id) if trace_id is not None else nullcontext()
 
 
@@ -113,9 +126,10 @@ def _solve_task(item: BatchItem) -> Outcome:
     :class:`~repro.core.partition.PartitionSolution` — mappings are shape
     arithmetic the requester rebuilds.
 
-    The leader's trace id travels in the item payload (the executor thread
-    inherits no ambient state), so a ``serve.solve`` span recorded here
-    lands in the requesting trace's tree.
+    The leader's trace id travels in the item payload (neither the batch
+    thread nor the coalescer's own task carries the request's context), so
+    a ``serve.solve`` span recorded here lands in the requesting trace's
+    tree.
     """
     digest, _key, spec, trace_id = item
     if not obs_state.enabled():
@@ -144,9 +158,9 @@ def _execute_batch(
     store: Optional[SolutionStore],
     solve_delay_s: float,
 ) -> Dict[str, Outcome]:
-    """Resolve one micro-batch of distinct jobs (runs on an executor thread).
+    """Resolve one micro-batch of distinct jobs, on the loop or a thread.
 
-    Store hits short-circuit.  The remainder solves inline through the
+    Store hits short-circuit.  The remainder solves in process through the
     scheduler's :func:`~repro.sched.map_tasks`, keyed by canonical digest
     (the coalescer already deduplicates upstream, so the keys are belt-and-
     braces against a caller that batches duplicates directly), and fresh
@@ -329,11 +343,20 @@ class Coalescer:
                 if not batch:
                     continue
                 registry.histogram("serve.batch.size").observe(len(batch))
-                self._running = loop.run_in_executor(
-                    None, _execute_batch, batch, self.store, self.solve_delay_s
+                inline = self.solve_delay_s <= 0 and (
+                    sum(spec.work_estimate() for _d, _k, spec, _t in batch)
+                    <= INLINE_WORK_BUDGET
                 )
                 try:
-                    outcomes = await asyncio.shield(self._running)
+                    if inline:
+                        registry.counter("serve.work.inline").inc()
+                        outcomes = _execute_batch(batch, self.store, 0.0)
+                    else:
+                        registry.counter("serve.work.executor").inc()
+                        self._running = loop.run_in_executor(
+                            None, _execute_batch, batch, self.store, self.solve_delay_s
+                        )
+                        outcomes = await asyncio.shield(self._running)
                 except Exception as exc:  # noqa: BLE001 - keep the loop alive
                     outcomes = {
                         digest: ("err", ERROR_INTERNAL, f"batch failed: {exc}")
@@ -348,6 +371,10 @@ class Coalescer:
                                 ("err", ERROR_INTERNAL, "job produced no outcome"),
                             )
                         )
+                if inline:
+                    # Let the rest of the loop run before the next batch, so
+                    # a deep queue holds the loop one budget at a time.
+                    await asyncio.sleep(0)
         finally:
             self.close()
 

@@ -23,6 +23,12 @@ so requests that differ by translation, per-axis reflection, or a
 leading-axis permutation all resolve to one solve, stored once in the
 canonical frame and mapped back into each requester's frame through its
 :class:`~repro.core.cache.SymmetryOp`.
+
+Work estimates: every spec has one :meth:`~SolveSpec.work_estimate`, built
+from the quantities admission bounds (Algorithm 1's pairs, the same-size
+sweep's ceiling, a simulation's elements and reads).  The server runs work
+that fits :data:`INLINE_WORK_BUDGET` on its event loop and the rest on an
+executor thread (see :mod:`repro.serve.server`).
 """
 
 from __future__ import annotations
@@ -74,6 +80,39 @@ HTTP_STATUS: Dict[str, int] = {
 
 #: Simulation engines a request may name (mirrors ``sim.memsim.ENGINES``).
 SIM_ENGINES = ("auto", "scalar", "vectorized", "native")
+
+# Work estimates are in units of one native simulated read, ~5 ns on the
+# 2-core dev box.  Each weight below is from in-process timings there
+# (best of 3-5 runs, Python 3.11, native tier built).
+
+#: A solve's fixed cost: cold solves of the small library stencils take
+#: 0.055-0.10 ms.
+SOLVE_WORK = 20_000
+
+#: One of Algorithm 1's ``m(m−1)/2`` pairwise differences: the m = 724
+#: solve (random 2-D offsets in a 200×200 box) takes 36.5 ms over 261,726
+#: pairs, ~140 ns each.
+PAIR_WORK = 30
+
+#: One (bank count, offset) cell of the same-size sweep: LoG under
+#: ``storage`` at w = 2^18 or ``banks`` at ``n_max`` = 2^18 takes 124-129 ms
+#: for 3.4M cells, 36-38 ns each (58 ns at w = 1024).
+SWEEP_CELL_WORK = 10
+
+#: One simulated element, loaded or read, by resolved engine: native
+#: 4.6-6.4 ns (LoG and Canny from 64×64 to 1024×1024), vectorized
+#: 95-112 ns, scalar 13.5-14.1 µs (LoG from 16×16 to 256×256).
+ELEMENT_WORK = {"native": 1, "vectorized": 20, "scalar": 2_800}
+
+#: The most estimated work the server runs on its event loop, ~1.5 ms on
+#: the dev box.  Every request of perfbench's ``serve_cold`` fits: over its
+#: first 24k specs (seeds 1-2) the largest solve is 36,770 units (Sobel 3-D
+#: under "banks") and the largest sweep 120,684 (Canny on 64×81; Canny on
+#: 64×80 simulates in 0.64 ms).
+#: The m = 724 solve (7.9M units), LoG sweeps over 2^18 bank counts (34M),
+#: a native 1024×1024 LoG simulate (14.6M, 79 ms) and a scalar LoG
+#: simulate on 16×16 (6.0M, 26 ms) do not.
+INLINE_WORK_BUDGET = 300_000
 
 
 class BadRequestError(ReproError, ValueError):
@@ -173,6 +212,23 @@ def _parse_shape(doc: Dict[str, Any], ndim: int) -> Optional[Tuple[int, ...]]:
     return shape
 
 
+def _sweep_ceiling(
+    objective: Objective, shape: Optional[Tuple[int, ...]], n_max: Optional[int]
+) -> Optional[int]:
+    """The bank count the same-size sweep walks to, when the request sets it.
+
+    That is ``n_max`` for "banks", and the innermost extent (or ``n_max``,
+    if smaller) for "storage".  ``None`` means Algorithm 1's ``N_f`` bounds
+    the sweep, if it runs at all: "banks" without ``n_max``, and "latency",
+    which sweeps only below ``N_f``.
+    """
+    if objective is Objective.BANKS:
+        return n_max
+    if objective is Objective.STORAGE and shape is not None:
+        return shape[-1] if n_max is None else min(n_max, shape[-1])
+    return None
+
+
 def _parse_optional_int(doc: Dict[str, Any], field: str, minimum: int) -> Optional[int]:
     raw = doc.get(field)
     if raw is None:
@@ -219,6 +275,29 @@ class SolveSpec:
         """Orbit-wide identity: what the coalescer and the store key by."""
         return stable_digest(self.canonical_cache_key())
 
+    def work_estimate(self) -> int:
+        """Estimated work of solving this spec cold (see :data:`SOLVE_WORK`).
+
+        A fixed cost, Algorithm 1's ``m(m−1)/2`` pairs and the same-size
+        sweep's ``ceiling · m`` cells.  Where ``N_f`` bounds the sweep, the
+        pattern's bounding-box volume stands in for it: ``α``'s suffix
+        products keep every transformed offset within that volume, so
+        ``N_f`` never exceeds it.  Every spec in a symmetry orbit gets the
+        same estimate.
+        """
+        m = self.pattern.size
+        ceiling = _sweep_ceiling(self.objective, self.shape, self.n_max)
+        if ceiling is None and self.objective is not Objective.STORAGE:
+            if self.objective is Objective.BANKS:
+                ceiling = self.pattern.bounding_box_volume
+            elif self.n_max is not None:
+                ceiling = min(self.n_max, self.pattern.bounding_box_volume)
+        return (
+            SOLVE_WORK
+            + PAIR_WORK * (m * (m - 1) // 2)
+            + SWEEP_CELL_WORK * (ceiling or 0) * m
+        )
+
     def canonicalized(self) -> Tuple["SolveSpec", SymmetryOp]:
         """The canonical-frame twin of this spec plus the op mapping back.
 
@@ -254,6 +333,28 @@ class SimulateSpec:
     verify: bool
     engine: str
 
+    def work_estimate(self) -> int:
+        """Estimated work of the sweep alone (the solve is estimated apart).
+
+        Every element of the array is loaded once and every iteration reads
+        the pattern's ``m`` offsets; each costs :data:`ELEMENT_WORK` of the
+        engine ``engine`` resolves to (``auto`` is native wherever the
+        compiled tier loads).
+        """
+        from .. import native
+        from ..sim.trace import domain_ranges
+
+        engine = self.engine
+        if engine == "auto":
+            engine = "native" if native.available() else "vectorized"
+        pattern, shape = self.solve.pattern, self.solve.shape
+        assert shape is not None  # parse_simulate_spec requires it
+        iterations = math.prod(map(len, domain_ranges(pattern, shape, self.step)))
+        if self.limit is not None:
+            iterations = min(iterations, self.limit)
+        elements = grid_size(shape) + iterations * pattern.size
+        return ELEMENT_WORK[engine] * elements
+
 
 def parse_solve_spec(doc: Any) -> SolveSpec:
     """Validate a ``solve`` request body."""
@@ -286,13 +387,10 @@ def parse_solve_spec(doc: Any) -> SolveSpec:
         ) from exc
     delta_max = _parse_optional_int(doc, "delta_max", 0)
     n_max = _parse_optional_int(doc, "n_max", 1)
-    # The same-size sweep walks every bank count up to its ceiling: n_max
-    # for "banks", the innermost extent (or n_max, if smaller) for
-    # "storage".  "latency" sweeps only below N_f, which the pattern
-    # bounds, so a slack n_max of any size stays cheap.
-    ceiling = n_max if objective is Objective.BANKS else None
-    if objective is Objective.STORAGE and shape is not None:
-        ceiling = shape[-1] if n_max is None else min(n_max, shape[-1])
+    # The same-size sweep walks every bank count up to its ceiling.
+    # "latency" sweeps only below N_f, which the pattern bounds, so a slack
+    # n_max of any size stays cheap.
+    ceiling = _sweep_ceiling(objective, shape, n_max)
     if ceiling is not None and ceiling > DEFAULT_CHUNK_ELEMENTS:
         raise BadRequestError(
             f"objective {objective.value!r} would sweep {ceiling} bank counts, "

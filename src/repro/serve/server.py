@@ -4,9 +4,17 @@ One process, one event loop, one batch pipeline.  Connection handlers
 parse requests, compute each request's canonical identity once, enforce
 deadlines, and answer repeats straight from the in-memory solve cache on
 the loop — no queue, no executor hop, no store read.  Everything else
-goes through the coalescer (backpressure, shared solve futures), and all
-CPU-bound work (solves, store reads, simulations, Table 1) happens on
-executor threads, so intake stays responsive under load.
+goes through the coalescer (backpressure, shared solve futures).
+
+Where work runs: a solve batch or a simulation whose work estimate
+(:meth:`~repro.serve.protocol.SolveSpec.work_estimate`) fits
+:data:`~repro.serve.protocol.INLINE_WORK_BUDGET`, ~1.5 ms of work, runs
+on the loop, because a thread handoff costs more than a small cold solve.
+Larger batches and simulations, batches under the tests' ``solve_delay_s``
+hook, and every ``/table1`` build run on executor threads, so intake
+stays responsive while they work.  The ``serve.work.inline`` and
+``serve.work.executor`` counters on ``/metrics`` count each batch and
+simulation by where it ran.
 
 Endpoints
 ---------
@@ -17,8 +25,9 @@ Endpoints
     structured error (400/422/429/503/504).
 ``POST /simulate``
     A solve spec with mandatory ``shape`` plus sweep knobs; the solve takes
-    the same path as ``/solve``, then the cycle simulation runs on an
-    executor thread.  Returns solution + simulation report.
+    the same path as ``/solve``, then the cycle simulation runs on the
+    loop or an executor thread, by its work estimate.  Returns solution +
+    simulation report.
 ``POST /table1``
     ``{"benchmarks": [...], "repetitions": k}`` — regenerates Table 1 rows
     via :func:`repro.eval.table1.build_table`; distinct benchmarks and at
@@ -41,8 +50,8 @@ Endpoints
 
 Tracing: with observability enabled every request is assigned a trace id
 (returned in the response payload as ``trace_id``).  The id travels with
-the work — through the coalescer into executor threads — so the
-finished spans reassemble into one tree per request, retrievable
+the work — through the coalescer into the batch, on the loop or a thread
+— so the finished spans reassemble into one tree per request, retrievable
 from ``/debug/traces``.  Requests that coalesce onto another request's
 in-flight solve record a *link* to the leader's trace instead of
 duplicating its spans.
@@ -50,7 +59,9 @@ duplicating its spans.
 Deadlines: a request may carry ``timeout_ms``; past-deadline requests get
 ``504 deadline_exceeded`` — *the coalesced solve keeps running* (other
 waiters, or the store, still want the result), only this response is
-abandoned.  Backpressure: a full intake queue answers ``429 queue_full``
+abandoned.  Work on the loop cannot be interrupted, so a deadline that
+passes during it is checked once the work returns, with the same 504.
+Backpressure: a full intake queue answers ``429 queue_full``
 with a ``Retry-After`` header instead of queueing unboundedly.  Malformed
 HTTP framing (a bad request line, a non-numeric or negative
 ``Content-Length``, an over-long line) answers ``400 bad_request`` and a
@@ -88,6 +99,7 @@ from .protocol import (
     ERROR_NOT_FOUND,
     ERROR_QUEUE_FULL,
     HTTP_STATUS,
+    INLINE_WORK_BUDGET,
     BadRequestError,
     SimulateSpec,
     SolveSpec,
@@ -186,6 +198,16 @@ async def read_http_request(
     body = await reader.readexactly(length) if length else b""
     method, target = parts[0].decode("ascii"), parts[1].decode("ascii")
     return method.upper(), target, headers, body
+
+
+def _check_deadline(deadline: Optional[float]) -> None:
+    """Raise :class:`asyncio.TimeoutError` if ``deadline`` has passed.
+
+    Work on the loop holds every timer until it returns, so a wait that
+    ended without a timeout may still have outlived its deadline.
+    """
+    if deadline is not None and time.monotonic() > deadline:
+        raise asyncio.TimeoutError
 
 
 def _wants_close(connection: str) -> bool:
@@ -439,7 +461,8 @@ class PartitionServer:
         stack would mis-parent one request's spans under another's root.
         The trace id, not the stack, is what ties the tree together:
         :func:`build_trace_tree` adopts every parentless in-trace span
-        (executor threads) under this root.
+        (batch and simulation work, on the loop or executor threads)
+        under this root.
         """
         tr = obs_tracer()
         tr.record(
@@ -579,6 +602,7 @@ class PartitionServer:
             outcome: Outcome = await asyncio.wait_for(
                 asyncio.shield(future), timeout=remaining
             )
+            _check_deadline(deadline)
         except asyncio.TimeoutError:
             obs_registry().counter("serve.deadline.expired").inc()
             raise _HttpReply(
@@ -625,23 +649,32 @@ class PartitionServer:
 
             if trace_id is None:
                 return _sweep()
-            # Executor threads inherit no request context; re-enter the
-            # trace so the sweep's spans land in this request's tree.
+            # An executor thread inherits no request context; re-enter the
+            # trace (the loop already runs under it) so the sweep's spans
+            # land in this request's tree.
             with trace(trace_id):
                 with span("serve.simulate", engine=sim.engine):
                     return _sweep()
 
-        loop = asyncio.get_running_loop()
         remaining = None if deadline is None else deadline - time.monotonic()
         if remaining is not None and remaining <= 0:
             raise _HttpReply(
                 HTTP_STATUS[ERROR_DEADLINE],
                 error_payload(ERROR_DEADLINE, "deadline expired before simulation"),
             )
+        inline = sim.work_estimate() <= INLINE_WORK_BUDGET
+        obs_registry().counter(
+            "serve.work.inline" if inline else "serve.work.executor"
+        ).inc()
         try:
-            report = await asyncio.wait_for(
-                loop.run_in_executor(None, _run_simulation), timeout=remaining
-            )
+            if inline:
+                report = _run_simulation()
+            else:
+                report = await asyncio.wait_for(
+                    asyncio.get_running_loop().run_in_executor(None, _run_simulation),
+                    timeout=remaining,
+                )
+            _check_deadline(deadline)
         except asyncio.TimeoutError:
             raise _HttpReply(
                 HTTP_STATUS[ERROR_DEADLINE],

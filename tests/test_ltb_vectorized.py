@@ -21,8 +21,11 @@ from hypothesis import strategies as st
 from repro.baselines import LTB_ENGINES, ltb_chunk_budget, ltb_partition
 from repro.baselines.ltb import resolve_ltb_engine
 from repro.core import OpCounter, Pattern
+from repro.core.analysis import optimality_gap
 from repro.errors import PartitioningError
 from repro.patterns import gaussian_pattern, log_pattern, median_pattern
+
+from conftest import engine_param
 
 
 def _run(pattern, engine, **kwargs):
@@ -101,6 +104,51 @@ class TestEquivalence:
         fast, fast_ops = _run(pattern, resolved)
         assert auto == fast
         assert auto_ops.counts == fast_ops.counts
+
+
+#: Two offsets near 2^62: α·Δ leaves int64 for every α with a digit of 2
+#: or more, though every residue mod N is small.
+_FAR = Pattern([(5, 7), (2**62 - 1, 2**62 - 3), (9, 1)])
+
+
+class TestFarOffsets:
+    @pytest.mark.parametrize(
+        "engine", [engine_param(name) for name in ("scalar", "vectorized", "native")]
+    )
+    def test_far_offsets_find_the_true_minimum(self, engine):
+        result, ops = _run(_FAR, engine)
+        assert result.solution.n_banks == 5
+        assert result.solution.transform.alpha == (1, 0)
+        assert result.vectors_tried == 31
+        assert result.candidates_tried == 3
+        assert ops.counts == {"mul": 186, "add": 95, "mod": 93, "compare": 100}
+        banks = {
+            sum(a * d for a, d in zip(result.solution.transform.alpha, delta)) % 5
+            for delta in _FAR.offsets
+        }
+        assert len(banks) == _FAR.size
+
+    def test_far_offsets_have_no_optimality_gap(self):
+        assert optimality_gap(_FAR) == 0
+
+    def test_offsets_past_int64(self, fast_engine):
+        # 2^70 does not fit int64; every engine answers like the scalar one.
+        for offsets in ([(0,), (2**70,), (1,)], [(2**70, 3), (0, -(2**70)), (1, 1)]):
+            _assert_equivalent(Pattern(offsets), engine=fast_engine)
+
+    def test_bank_counts_past_int64_products(self):
+        # (N−1)² leaves int64 at N = 2^33 + 1, so the NumPy engine computes
+        # this block's residues with Python integers; α = (0,) sends all
+        # offsets to bank 0 and α = (1,) separates them.
+        pattern = Pattern([(0,), (2**40 + 3,), (5,)])
+        n_banks = 2**33 + 1
+        result, ops = _run(
+            pattern, "vectorized", start_n=n_banks, n_max=n_banks, chunk=6
+        )
+        assert result.solution.n_banks == n_banks
+        assert result.solution.transform.alpha == (1,)
+        assert result.vectors_tried == 2
+        assert ops.counts == {"mul": 6, "mod": 6, "compare": 6}
 
 
 class TestExhaustion:
