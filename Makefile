@@ -1,6 +1,6 @@
 # Convenience targets for the repro repository.
 
-.PHONY: install build-ext clean-ext test bench bench-perf bench-check validate table1 casestudy examples serve verify fuzz all
+.PHONY: install build-ext clean-ext test bench validate table1 casestudy examples serve verify fuzz all
 
 install:
 	python setup.py develop
@@ -19,20 +19,6 @@ test:
 
 bench:
 	pytest benchmarks/ --benchmark-only
-
-# Implementation-speed trajectory (scalar vs vectorized, cold vs warm
-# cache); writes BENCH_perf.json at the repo root.  Use PRESET=full for
-# the acceptance workload (512x512 stencil).
-bench-perf:
-	PYTHONPATH=src python benchmarks/bench_perf_suite.py --preset $(or $(PRESET),small)
-
-# Perf-regression gate: fresh suite run vs benchmarks/baselines/.  SLACK=
-# overrides the tolerance; `make bench-check SLACK=2.5 RUNS=3` is the
-# careful local pass, CI runs --quick with a wide slack.  Re-baseline
-# after an intentional perf change with:
-#   PYTHONPATH=src python -m repro.bench.check --update-baseline
-bench-check:
-	PYTHONPATH=src python -m repro.bench.check --slack $(or $(SLACK),2.5) --runs $(or $(RUNS),1)
 
 validate:
 	python -m repro.eval.validation --quick

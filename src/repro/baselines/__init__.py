@@ -15,7 +15,6 @@ from .ltb import (
     LTB_ENGINES,
     LTBResult,
     ltb_bank_of,
-    ltb_chunk_budget,
     ltb_min_banks,
     ltb_overhead_elements,
     ltb_partition,
@@ -43,7 +42,6 @@ __all__ = [
     "LTB_ENGINES",
     "LTBResult",
     "ltb_bank_of",
-    "ltb_chunk_budget",
     "ltb_min_banks",
     "ltb_overhead_elements",
     "ltb_partition",

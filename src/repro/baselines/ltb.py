@@ -24,22 +24,18 @@ Section 2 figure), versus our last-dimension-only padding (640 elements).
 Two search engines share the loop over bank counts:
 
 * ``"scalar"`` — the reference below, a line-by-line transcription of the
-  published enumeration (`itertools.product` + per-vector residue scan);
-* ``"vectorized"`` — a chunked NumPy engine that decodes candidate indices
-  mixed-radix into ``(C, n)`` blocks, computes the ``(C, m)`` residue
-  matrix with one matmul + mod, and tests row-wise injectivity via a
-  per-row stable sort.  It returns the *same lexicographic first hit*,
-  the same ``vectors_tried``/``candidates_tried``, and charges the same
+  published enumeration (a lexicographic odometer + per-vector residue
+  scan);
+* ``"native"`` — the same scan compiled (:mod:`repro.native`).  It returns
+  the *same lexicographic first hit*, the same
+  ``vectors_tried``/``candidates_tried``, and charges the same
   :class:`~repro.core.opcount.OpCounter` operations — the op model counts
   the mathematical work, not the execution strategy (the
-  ``same_size_sweep`` precedent).  Block size is bounded by a residue-cell
-  budget (the bulk default unless ``chunk=`` overrides it), so peak memory
-  stays ~``chunk × 8`` bytes however large ``N^n`` grows.
+  ``same_size_sweep`` precedent).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Tuple
@@ -50,17 +46,16 @@ from ..core.opcount import OpCounter, resolve
 from ..core.partition import PartitionSolution
 from ..core.pattern import Pattern
 from ..core.transform import LinearTransform
-from ..core.vectorized import chunk_budget
 from ..errors import PartitioningError
 
 #: Engine names accepted by :func:`ltb_partition`.  ``"native"`` is the
 #: compiled tier (:mod:`repro.native`): the whole per-``N`` scan —
 #: odometer enumeration, residue check, first-duplicate detection — runs in
-#: C, with charges identical to both Python engines.
-LTB_ENGINES = ("auto", "scalar", "vectorized", "native")
+#: C, with charges identical to the scalar reference.
+LTB_ENGINES = ("auto", "scalar", "native")
 
-#: Candidate spaces beyond int64 cannot be block-decoded (and could not be
-#: enumerated by the scalar loop within a lifetime either).
+#: Candidate spaces beyond int64 cannot be counted by the compiled scan
+#: (and could not be enumerated by the scalar loop within a lifetime either).
 _INT64_LIMIT = np.iinfo(np.int64).max
 
 
@@ -83,23 +78,23 @@ class LTBResult:
     candidates_tried: int
 
 
-def ltb_chunk_budget(chunk: int | None = None) -> int:
-    """Resolve the residue-matrix cell budget per vectorized block.
-
-    Explicit argument > the bulk default
-    (:func:`repro.core.vectorized.chunk_budget`).  The budget counts residue
-    cells, so a block holds ``max(1, budget // m)`` candidate vectors.
-    """
-    if chunk is not None:
-        if chunk < 1:
-            raise ValueError(f"chunk budget must be positive, got {chunk}")
-        return chunk
-    return chunk_budget()
-
-
 def _candidate_vectors(n_banks: int, ndim: int) -> Iterator[Tuple[int, ...]]:
-    """Lexicographic enumeration of all ``N^n`` transform vectors."""
-    return itertools.product(range(n_banks), repeat=ndim)
+    """Lexicographic enumeration of all ``N^n`` transform vectors.
+
+    An odometer, rightmost digit fastest (``itertools.product`` order), that
+    holds one vector: ``itertools.product`` would first build ``range(N)``
+    as a tuple, which no memory holds for ``N`` near ``2^30`` and beyond.
+    """
+    vector = [0] * ndim
+    while True:
+        yield tuple(vector)
+        for dim in range(ndim - 1, -1, -1):
+            vector[dim] += 1
+            if vector[dim] < n_banks:
+                break
+            vector[dim] = 0
+        else:
+            return
 
 
 def _vector_is_valid(
@@ -149,9 +144,9 @@ def resolve_ltb_engine(engine: str = "auto") -> str:
     """Concrete engine :func:`ltb_partition` will run.
 
     ``"auto"`` prefers ``native`` when the compiled extension loads (it is
-    built on first use, :mod:`repro.native`) and falls back to
-    ``vectorized`` silently otherwise; forcing ``engine="native"`` without
-    it raises :class:`~repro.errors.NativeUnavailableError`.
+    built on first use, :mod:`repro.native`) and falls back to ``scalar``
+    silently otherwise; forcing ``engine="native"`` without it raises
+    :class:`~repro.errors.NativeUnavailableError`.
     """
     if engine not in LTB_ENGINES:
         raise ValueError(
@@ -160,14 +155,14 @@ def resolve_ltb_engine(engine: str = "auto") -> str:
     from .. import native
 
     if engine == "auto":
-        return "native" if native.available() else "vectorized"
+        return "native" if native.available() else "scalar"
     if engine == "native":
         native.require()  # NativeUnavailableError when it cannot load
     return engine
 
 
 def _guard_candidate_space(n_banks: int, ndim: int) -> int:
-    """Total candidates ``N^n``, or the shared too-large error."""
+    """Total candidates ``N^n``, or the too-large error."""
     total = n_banks**ndim
     if total > _INT64_LIMIT:
         raise PartitioningError(
@@ -185,11 +180,12 @@ def _search_native(
     The C kernel (:mod:`repro.native._native`) enumerates candidates with a
     rightmost-fastest odometer (``itertools.product`` order), recomputes the
     ``m`` residues per candidate with Python modulo semantics, and detects
-    the first duplicate with an epoch-stamped seen table — returning the
-    lexicographic first hit, the exact vectors-tried count, and the
-    comparison total ``Σ (1 + t(t+1)/2)`` the scalar scan would have
-    charged.  Arithmetic charges follow the same wholesale-per-vector model
-    as both Python engines.
+    the first duplicate with an epoch-stamped seen table of ``N`` entries,
+    or past ``2^20`` banks by comparing with the candidate's earlier
+    residues — returning the lexicographic first hit, the exact
+    vectors-tried count, and the comparison total ``Σ (1 + t(t+1)/2)`` the
+    scalar scan would have charged.  Arithmetic charges follow the same
+    wholesale-per-vector model as the scalar engine.
     """
     from ..native import require
 
@@ -220,105 +216,12 @@ def _search_native(
     return None, tried
 
 
-def _decode_block(
-    lo: int, hi: int, n_banks: int, ndim: int, dtype: type
-) -> "np.ndarray":
-    """Candidate vectors for lexicographic indices ``lo … hi - 1``.
-
-    ``itertools.product(range(N), repeat=n)`` enumerates big-endian
-    mixed-radix numbers (rightmost digit fastest), so digit ``j`` of index
-    ``i`` is ``(i // N^(n-1-j)) % N`` — extracted right to left with one
-    divmod per dimension.  Indices and digits always fit int64, so an
-    ``object`` block is decoded in int64 and converted.
-    """
-    decode = np.int64 if dtype is object else dtype
-    linear = np.arange(lo, hi, dtype=decode)
-    block = np.empty((hi - lo, ndim), dtype=decode)
-    for dim in range(ndim - 1, -1, -1):
-        linear, block[:, dim] = np.divmod(linear, n_banks)
-    return block.astype(dtype, copy=False)
-
-
-def _search_vectorized(
-    pattern: Pattern, n_banks: int, counter: OpCounter, chunk: int | None
-) -> Tuple[Tuple[int, ...] | None, int]:
-    """Chunked NumPy per-``N`` search, charge-identical to :func:`_search_scalar`.
-
-    Each block computes the full ``(C, m)`` residue matrix in one matmul +
-    mod, then finds every row's *first duplicate position* with one per-row
-    sort of packed ``residue·m + column`` keys: equal residues become
-    adjacent keys whose ties order by original column, so the minimum
-    ``key % m`` over the latter element of each equal adjacent pair is
-    exactly where the scalar scan would have stopped — which is what makes
-    the comparison charges reproducible, not just the verdict.
-    """
-    m, ndim = pattern.size, pattern.ndim
-    total = _guard_candidate_space(n_banks, ndim)
-    # Offsets reduced mod N (a component already inside (−N, N) kept as it
-    # is) leave every residue unchanged and bound each dot product by
-    # n·(N−1)², however far the pattern is translated.
-    reduced = [
-        [d if -n_banks < d < n_banks else d % n_banks for d in delta]
-        for delta in pattern.offsets
-    ]
-    # Narrow dtypes when every intermediate (candidate index, dot product,
-    # packed key) provably fits — int32 sorts are ~2x faster and dominate
-    # large blocks.  Python integers (object arrays) take the rest, which
-    # only a bank count near 3·10⁹ or beyond reaches.
-    widest = max(ndim * (n_banks - 1) ** 2, n_banks * m + m)
-    if max(total, widest) < 2**31:
-        dtype: type = np.int32
-    elif widest <= _INT64_LIMIT:
-        dtype = np.int64
-    else:
-        dtype = object
-    deltas = np.array(reduced, dtype=dtype).reshape(m, ndim).T
-    columns = np.arange(m).astype(dtype)
-    block_vectors = max(1, ltb_chunk_budget(chunk) // m)
-    for lo in range(0, total, block_vectors):
-        hi = min(lo + block_vectors, total)
-        vectors = _decode_block(lo, hi, n_banks, ndim, dtype)
-        residues = (vectors @ deltas) % n_banks
-        if m > 1:
-            # Pack (residue, column) into one key and sort rows in place:
-            # ties order by column, so equal residues are adjacent with
-            # ascending original indices.
-            np.multiply(residues, m, out=residues)
-            np.add(residues, columns, out=residues)
-            residues.sort(axis=1)
-            index = residues % m
-            base = residues - index
-            dup_at = np.where(base[:, 1:] == base[:, :-1], index[:, 1:], m)
-            first_dup = dup_at.min(axis=1)
-        else:
-            first_dup = np.full(hi - lo, m, dtype=np.int64)
-        valid_rows = np.flatnonzero(first_dup == m)
-        hit = int(valid_rows[0]) if valid_rows.size else None
-        count = (hi - lo) if hit is None else hit + 1
-
-        # Charge exactly what the scalar reference charges for these rows:
-        # wholesale residue arithmetic for every tried vector, then a
-        # distinctness scan of 1 + t(t+1)/2 comparisons where t is the
-        # first-duplicate index (t = m-1 for valid vectors).
-        counter.mul(count * m * ndim)
-        if ndim > 1:
-            counter.add(count * m * (ndim - 1))
-        counter.mod(count * m)
-        scan = np.minimum(first_dup[:count], m - 1)
-        counter.compare(count + int((scan * (scan + 1) // 2).sum()))
-
-        if hit is not None:
-            return tuple(int(c) for c in vectors[hit]), lo + count
-    return None, total
-
-
 def ltb_partition(
     pattern: Pattern,
     n_max: int | None = None,
     ops: OpCounter | None = None,
     start_n: int | None = None,
     engine: str = "auto",
-    chunk: int | None = None,
 ) -> LTBResult:
     """Run the LTB exhaustive search for ``pattern``.
 
@@ -334,18 +237,12 @@ def ltb_partition(
         First bank count to try; defaults to ``m`` (no fewer banks can
         serve ``m`` parallel accesses at full bandwidth).
     engine:
-        ``"scalar"`` runs the published enumeration verbatim;
-        ``"vectorized"`` runs the chunked NumPy search; ``"native"`` runs
-        the compiled scan when the optional extension is built
-        (:class:`~repro.errors.NativeUnavailableError` otherwise).
-        ``"auto"`` resolves to ``native`` when available, else
-        ``vectorized``.  Results, counters, and op charges are identical
-        across all engines — property-tested in
+        ``"scalar"`` runs the published enumeration verbatim; ``"native"``
+        runs the compiled scan (:class:`~repro.errors.NativeUnavailableError`
+        when the extension cannot be built).  ``"auto"`` resolves to
+        ``native`` when available, else ``scalar``.  Results, counters, and
+        op charges are identical across engines — property-tested in
         ``tests/test_ltb_vectorized.py``.
-    chunk:
-        Optional residue-cell budget per vectorized block (overrides the
-        bulk default); ignored by the scalar and native engines
-        (the native scan streams candidates without materializing blocks).
 
     Raises
     ------
@@ -372,8 +269,6 @@ def ltb_partition(
         candidates_tried += 1
         if engine == "native":
             alpha, tried = _search_native(pattern, n, counter)
-        elif engine == "vectorized":
-            alpha, tried = _search_vectorized(pattern, n, counter, chunk)
         else:
             alpha, tried = _search_scalar(pattern, n, counter)
         vectors_tried += tried

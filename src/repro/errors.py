@@ -51,5 +51,5 @@ class NativeUnavailableError(ReproError, RuntimeError):
     Raised when the C extension (:mod:`repro.native`) could not be built or
     loaded, for example on a host without a C compiler; the message names
     the reason.  ``engine="auto"`` never raises this — it falls back to the
-    NumPy engines silently.
+    scalar engines silently.
     """

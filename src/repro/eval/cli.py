@@ -19,10 +19,12 @@ import re
 import sys
 from typing import Optional, Sequence, Tuple
 
+from ..baselines.ltb import LTB_ENGINES
 from ..core.mapping import BankMapping
 from ..core.pattern import Pattern
 from ..core.solver import Objective, solve
 from ..patterns.library import BENCHMARKS, benchmark_pattern
+from ..sim.memsim import ENGINES
 from .casestudy import run_case_study
 from .report import render_case_study, render_table1
 from .table1 import build_table
@@ -41,7 +43,7 @@ def _add_jobs(parser: argparse.ArgumentParser) -> None:
 def _add_ltb_engine(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--ltb-engine",
-        choices=["auto", "scalar", "vectorized", "native"],
+        choices=LTB_ENGINES,
         default="auto",
         help="LTB search engine for the instrumented run (identical results; "
         "reported LTB times always measure the scalar reference; native "
@@ -401,11 +403,10 @@ def main_profile(argv: Sequence[str] | None = None) -> int:
     )
     parser.add_argument(
         "--engine",
-        choices=["auto", "scalar", "vectorized", "native"],
+        choices=ENGINES,
         default="auto",
         help="simulation engine (identical reports; scalar shows the "
-        "reference span tree, vectorized the fast path, native the "
-        "C extension, built on first use)",
+        "reference span tree, native the C extension, built on first use)",
     )
     _add_emit_metrics(parser)
     args = parser.parse_args(argv)

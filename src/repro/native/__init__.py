@@ -16,7 +16,7 @@ existing ``engine=`` dispatch in :func:`repro.sim.memsim.simulate_sweep` and
   and be writable by nobody else, because loading a shared object runs its
   code;
 * ``engine="auto"`` uses the extension whenever it loads and falls back to
-  the NumPy engines silently when it cannot (no compiler, no Python
+  the scalar engines silently when it cannot (no compiler, no Python
   headers, a failed or timed-out compile, an unsafe cache);
 * ``engine="native"`` then raises
   :class:`~repro.errors.NativeUnavailableError` naming the reason, which
@@ -240,7 +240,7 @@ def available() -> bool:
     """Whether ``engine="native"`` can run in this process.
 
     The first call loads (and if needed compiles) the extension;
-    ``engine="auto"`` callers use this to fall back to the NumPy engines
+    ``engine="auto"`` callers use this to fall back to the scalar engines
     silently.
     """
     return _loader.load() is not None
@@ -253,7 +253,7 @@ def require() -> Any:
     if module is None:
         raise NativeUnavailableError(
             "engine='native' needs the compiled extension, which is "
-            "unavailable here (engine='auto' falls back to the NumPy "
+            "unavailable here (engine='auto' falls back to the scalar "
             f"engines): {_loader.error}"
         )
     return module
@@ -288,7 +288,7 @@ def register_native_spec(mapping_type: type, builder: NativeSpecBuilder) -> None
     The builder must describe address math identical to the type's scalar
     ``address_of``.  The kernels cannot check that at runtime: their load
     and sweep both follow the spec, so a spec that is injective but wrong
-    passes every guard.  The tri-engine test matrix and the
+    passes every guard.  The engine test matrix and the
     ``repro.verify`` differential oracles enforce it.  Lookup is by exact
     type, like :func:`repro.core.vectorized.register_bulk_kernel`.
     """

@@ -21,11 +21,11 @@
  *                    semantics, first-duplicate detection, and the
  *                    comparison-charge tally the OpCounter model requires.
  *
- * Bit-identity with the scalar and NumPy engines is the contract; the
- * tri-engine test matrix and the repro.verify differential oracles enforce
- * it.  Two semantic traps are handled explicitly: C's `%` truncates toward
- * zero while Python floors (pattern deltas and transform values can be
- * negative), and the NumPy engine reports a missing read anywhere in a
+ * Bit-identity with the scalar engines is the contract; the engine test
+ * matrix and the repro.verify differential oracles enforce it.  Two
+ * semantic traps are handled explicitly: C's `%` truncates toward zero
+ * while Python floors (pattern deltas and transform values can be
+ * negative), and the hybrid path reports a missing read anywhere in a
  * chunk before a corruption earlier in it, so sweep does too.
  */
 
@@ -145,7 +145,7 @@ enum { KIND_LINEAR = 0, KIND_CYCLIC = 1, KIND_BLOCK = 2 };
 enum { SCHEME_DIRECT = 0, SCHEME_TWO_LEVEL = 1, SCHEME_WIDE = 2 };
 
 /* Status codes of load_banks and sweep (the Python wrapper turns them into
- * the same SimulationError messages the NumPy engine raises). */
+ * the same SimulationError messages the hybrid path raises). */
 enum {
     SWEEP_OK = 0,
     SWEEP_MISSING = 1,     /* a read of a slot the load never wrote */
@@ -829,7 +829,7 @@ sweep(PyObject *self, PyObject *args)
                           : addresses[j];
                 if ((uint64_t)address >= slots || !seen[address]) {
                     /* A missing read outranks a corruption found earlier
-                     * in its chunk: the NumPy engine checks every read of
+                     * in its chunk: the hybrid path checks every read of
                      * a chunk before any value. */
                     status = (uint64_t)address >= slots ? SWEEP_BAD_ADDRESS
                                                         : SWEEP_MISSING;
@@ -1008,7 +1008,8 @@ ltb_residue(const int64_t *digits, const int64_t *delta, Py_ssize_t n,
 
 /* The candidate loop over reduced offsets, from the all-zero vector in
  * `digits`; leaves the first hit in `digits` and returns whether there is
- * one.  Inlined once per value of `wide`. */
+ * one.  Inlined once, with `wide` = 0: every N that needs 128-bit residues
+ * is past LTB_STAMP_LIMIT. */
 static inline __attribute__((always_inline)) int
 ltb_search(const int64_t *reduced, Py_ssize_t m, Py_ssize_t n, int64_t n_banks,
            const int wide, int64_t *stamp, int64_t *digits, int64_t *tried_out,
@@ -1054,15 +1055,63 @@ ltb_search(const int64_t *reduced, Py_ssize_t m, Py_ssize_t n, int64_t n_banks,
     return found;
 }
 
-/* The search past int64 products, kept out of ltb_scan's body so the
- * common int64 loop compiles as if it were alone. */
-static __attribute__((noinline)) int
-ltb_search_wide(const int64_t *reduced, Py_ssize_t m, Py_ssize_t n,
-                int64_t n_banks, int64_t *stamp, int64_t *digits,
-                int64_t *tried, int64_t *compares)
+/* Bank counts past this take ltb_search_buffered: an N-entry stamp table
+ * of int64 is 8 MiB here and grows without bound beyond. */
+#define LTB_STAMP_LIMIT ((int64_t)1 << 20)
+
+/* The candidate loop for N past LTB_STAMP_LIMIT: each residue is compared
+ * with the candidate's earlier ones in the m-entry `seen`, which finds the
+ * same first duplicate as the stamp table.  Every N with 128-bit dot
+ * products lies past the limit, so `wide` is decided here.  Kept out of
+ * ltb_scan's body so the int64 stamp loop compiles as if it were alone,
+ * and cold so it stays out of the hot text as well: placed before
+ * ltb_scan, its extra bytes moved the stamp loop across 32-byte fetch
+ * windows, and the Table 1 scans ran 5% slower (one process alternating
+ * both builds, 150 rounds). */
+static __attribute__((noinline, cold)) int
+ltb_search_buffered(const int64_t *reduced, Py_ssize_t m, Py_ssize_t n,
+                    int64_t n_banks, int64_t *seen, int64_t *digits,
+                    int64_t *tried_out, int64_t *compares_out)
 {
-    return ltb_search(reduced, m, n, n_banks, 1, stamp, digits, tried,
-                      compares);
+    const uint64_t top = (uint64_t)(n_banks - 1);
+    const int wide =
+        top > 3037000499u || top * top > (uint64_t)INT64_MAX / (uint64_t)n;
+    int64_t tried = 0, compares = 0;
+    int found = 0;
+    for (;;) {
+        tried++;
+        int64_t t = m;
+        for (Py_ssize_t j = 0; j < m && t == m; j++) {
+            int64_t residue =
+                wide ? ltb_residue(digits, reduced + j * n, n, n_banks, 1)
+                     : ltb_residue(digits, reduced + j * n, n, n_banks, 0);
+            for (Py_ssize_t k = 0; k < j; k++) {
+                if (seen[k] == residue) {
+                    t = j;
+                    break;
+                }
+            }
+            seen[j] = residue;
+        }
+        int64_t scan = (t < m) ? t : m - 1;
+        compares += 1 + scan * (scan + 1) / 2;
+        if (t == m) {
+            found = 1;
+            break;
+        }
+        Py_ssize_t d;
+        for (d = n - 1; d >= 0; d--) {
+            digits[d]++;
+            if (digits[d] < n_banks)
+                break;
+            digits[d] = 0;
+        }
+        if (d < 0)
+            break;
+    }
+    *tried_out = tried;
+    *compares_out = compares;
+    return found;
 }
 
 static PyObject *
@@ -1089,7 +1138,8 @@ ltb_scan(PyObject *self, PyObject *args)
         get_i64(&held, alpha_o, &alpha, 1, n, "alpha_out") < 0)
         goto done;
 
-    stamp = (int64_t *)calloc((size_t)n_banks, sizeof(int64_t));
+    const int buffered = n_banks > LTB_STAMP_LIMIT;
+    stamp = (int64_t *)calloc((size_t)(buffered ? m : n_banks), sizeof(int64_t));
     digits = (int64_t *)calloc((size_t)n, sizeof(int64_t));
     reduced = (int64_t *)malloc((size_t)(m * n) * sizeof(int64_t));
     if (stamp == NULL || digits == NULL || reduced == NULL) {
@@ -1102,18 +1152,15 @@ ltb_scan(PyObject *self, PyObject *args)
      * unchanged, however far the pattern is translated. */
     for (Py_ssize_t i = 0; i < m * n; i++)
         reduced[i] = deltas.data[i] % n_banks;
-    const uint64_t top = (uint64_t)(n_banks - 1);
-    const int wide =
-        top > 3037000499u || top * top > (uint64_t)INT64_MAX / (uint64_t)n;
 
     int found;
     int64_t tried = 0;
     int64_t compares = 0;
 
     Py_BEGIN_ALLOW_THREADS
-    if (wide)
-        found = ltb_search_wide(reduced, m, n, n_banks, stamp, digits, &tried,
-                                &compares);
+    if (buffered)
+        found = ltb_search_buffered(reduced, m, n, n_banks, stamp, digits,
+                                    &tried, &compares);
     else
         found = ltb_search(reduced, m, n, n_banks, 0, stamp, digits, &tried,
                            &compares);

@@ -18,10 +18,9 @@ Semantics
   sharing one canonical pattern trigger exactly one solve whose result
   fans out bit-identically.
 * **Per-task placement** — ``inline`` in the scheduler loop for
-  sub-millisecond arithmetic, ``thread`` for I/O-bound work, ``process``
-  for heavy solves/simulations (shipped through a registry-dump +
-  span-merge channel, so worker metrics and trace trees reassemble in the
-  parent).
+  sub-millisecond arithmetic, ``process`` for heavy solves/simulations
+  (shipped through a registry-dump + span-merge channel, so worker
+  metrics and trace trees reassemble in the parent).
 * **Streaming** — :func:`run_stream` yields a :class:`TaskResult` the
   moment each task settles; there is no global barrier, so callers can
   emit finished rows while slower subgraphs are still running.
@@ -47,7 +46,6 @@ import os
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from concurrent.futures.thread import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import (
@@ -154,20 +152,6 @@ def _process_entry(payload: Tuple[Any, ...]) -> Tuple[Any, ...]:
     return value, registry.dump(worker_id=worker_id), events, worker_id, duration_ms
 
 
-def _thread_entry(
-    fn: Callable[..., Any],
-    args: Tuple[Any, ...],
-    dep_values: List[Any],
-    trace_id: Optional[str],
-) -> Tuple[Any, float]:
-    """Run one task on a pool thread (shared registry, re-entered trace)."""
-    started = time.perf_counter()
-    ctx = trace(trace_id) if trace_id is not None else nullcontext()
-    with ctx:
-        value = fn(*args, *dep_values)
-    return value, (time.perf_counter() - started) * 1000.0
-
-
 def _resolve_workers(jobs: Optional[int], n_tasks: int) -> int:
     """Effective worker count: ``None``/``1`` is serial, never more than tasks.
 
@@ -214,7 +198,6 @@ class _Run:
                 heapq.heappush(self._ready, (self.index[t], t))
         self._inflight: Dict[Future, Task] = {}
         self._procs: Optional[ProcessPoolExecutor] = None
-        self._threads: Optional[ThreadPoolExecutor] = None
         self._traced = obs_state.enabled()
         self._trace_id = current_trace_id()
         self._parent_span = obs_tracer().current_parent() if self._traced else None
@@ -284,26 +267,18 @@ class _Run:
     def _dep_values(self, task: Task) -> List[Any]:
         return [self.results[self._resolve(d)].value for d in task.deps]
 
-    def _submit(self, task: Task, placement: str) -> Future:
+    def _submit(self, task: Task) -> Future:
         self.attempts[task] = self.attempts.get(task, 0) + 1
-        if placement == "process":
-            if self._procs is None:
-                self._procs = ProcessPoolExecutor(max_workers=self.workers)
-            payload = (
-                task.fn,
-                task.args,
-                self._dep_values(task),
-                self._trace_id,
-                self._traced,
-            )
-            return self._procs.submit(_process_entry, payload)
-        if self._threads is None:
-            self._threads = ThreadPoolExecutor(
-                max_workers=self.workers, thread_name_prefix="repro-sched"
-            )
-        return self._threads.submit(
-            _thread_entry, task.fn, task.args, self._dep_values(task), self._trace_id
+        if self._procs is None:
+            self._procs = ProcessPoolExecutor(max_workers=self.workers)
+        payload = (
+            task.fn,
+            task.args,
+            self._dep_values(task),
+            self._trace_id,
+            self._traced,
         )
+        return self._procs.submit(_process_entry, payload)
 
     def _broken_pool(self) -> None:
         if self._procs is not None:
@@ -317,9 +292,6 @@ class _Run:
         if self._procs is not None:
             self._procs.shutdown(wait=True, cancel_futures=True)
             self._procs = None
-        if self._threads is not None:
-            self._threads.shutdown(wait=True, cancel_futures=True)
-            self._threads = None
 
     # -- completion --------------------------------------------------------
 
@@ -425,15 +397,12 @@ class _Run:
                 )
             )
             return
-        if isinstance(payload, tuple) and len(payload) == 5:
-            value, dump, events, worker_id, duration_ms = payload
-            obs_registry().merge(dump)
-            if self._traced and events:
-                obs_tracer().merge(
-                    events, parent_id=self._parent_span, worker_id=worker_id
-                )
-        else:  # thread placement: (value, duration_ms)
-            value, duration_ms = payload
+        value, dump, events, worker_id, duration_ms = payload
+        obs_registry().merge(dump)
+        if self._traced and events:
+            obs_tracer().merge(
+                events, parent_id=self._parent_span, worker_id=worker_id
+            )
         yield from self._settle(
             TaskResult(
                 task=task,
@@ -453,11 +422,10 @@ class _Run:
                     _, task = heapq.heappop(self._ready)
                     if task in self.results:
                         continue  # cancelled while queued
-                    placement = self._placement(task)
-                    if placement == "inline":
+                    if self._placement(task) == "inline":
                         yield from self._run_inline(task)
                     else:
-                        self._inflight[self._submit(task, placement)] = task
+                        self._inflight[self._submit(task)] = task
                 if not self._inflight:
                     continue
                 done, _ = wait(self._inflight, return_when=FIRST_COMPLETED)

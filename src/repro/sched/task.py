@@ -15,7 +15,7 @@ import itertools
 from typing import Any, Callable, Optional, Sequence, Tuple
 
 #: Valid ``placement`` values, in documentation order.
-PLACEMENTS = ("auto", "inline", "thread", "process")
+PLACEMENTS = ("auto", "inline", "process")
 
 _task_ids = itertools.count(1)
 
@@ -46,10 +46,9 @@ class Task:
         :func:`repro.core.cache.solve_key` qualify directly.
     placement:
         Where the task body runs: ``"inline"`` in the scheduler loop
-        (sub-millisecond arithmetic, aggregations), ``"thread"`` on a
-        thread pool (I/O, store lookups), ``"process"`` on worker
-        processes (heavy solves/simulations), or ``"auto"`` (process when
-        the run is parallel, inline otherwise).  Serial runs
+        (sub-millisecond arithmetic, aggregations), ``"process"`` on
+        worker processes (heavy solves/simulations), or ``"auto"``
+        (process when the run is parallel, inline otherwise).  Serial runs
         (``jobs`` <= 1) execute everything inline regardless.
     name:
         Label for errors, spans, and debug output.

@@ -79,7 +79,7 @@ HTTP_STATUS: Dict[str, int] = {
 }
 
 #: Simulation engines a request may name (mirrors ``sim.memsim.ENGINES``).
-SIM_ENGINES = ("auto", "scalar", "vectorized", "native")
+SIM_ENGINES = ("auto", "scalar", "native")
 
 # Work estimates are in units of one native simulated read, ~5 ns on the
 # 2-core dev box.  Each weight below is from in-process timings there
@@ -100,9 +100,9 @@ PAIR_WORK = 30
 SWEEP_CELL_WORK = 10
 
 #: One simulated element, loaded or read, by resolved engine: native
-#: 4.6-6.4 ns (LoG and Canny from 64×64 to 1024×1024), vectorized
-#: 95-112 ns, scalar 13.5-14.1 µs (LoG from 16×16 to 256×256).
-ELEMENT_WORK = {"native": 1, "vectorized": 20, "scalar": 2_800}
+#: 4.6-6.4 ns (LoG and Canny from 64×64 to 1024×1024), scalar
+#: 13.5-14.1 µs (LoG from 16×16 to 256×256).
+ELEMENT_WORK = {"native": 1, "scalar": 2_800}
 
 #: The most estimated work the server runs on its event loop, ~1.5 ms on
 #: the dev box.  Every request of perfbench's ``serve_cold`` fits: over its
@@ -339,14 +339,14 @@ class SimulateSpec:
         Every element of the array is loaded once and every iteration reads
         the pattern's ``m`` offsets; each costs :data:`ELEMENT_WORK` of the
         engine ``engine`` resolves to (``auto`` is native wherever the
-        compiled tier loads).
+        compiled tier loads, else scalar).
         """
         from .. import native
         from ..sim.trace import domain_ranges
 
         engine = self.engine
         if engine == "auto":
-            engine = "native" if native.available() else "vectorized"
+            engine = "native" if native.available() else "scalar"
         pattern, shape = self.solve.pattern, self.solve.shape
         assert shape is not None  # parse_simulate_spec requires it
         iterations = math.prod(map(len, domain_ranges(pattern, shape, self.step)))

@@ -10,6 +10,7 @@ from .functional import (
 from .memsim import (
     ENGINES,
     SimulationReport,
+    SweepStats,
     resolve_engine,
     simulate_sweep,
     simulate_unpartitioned,
@@ -22,12 +23,10 @@ from .trace import (
     pattern_trace,
     trace_addresses,
 )
-from .vectorized import SweepStats, simulate_sweep_vectorized
 
 __all__ = [
     "ENGINES",
     "SweepStats",
-    "simulate_sweep_vectorized",
     "domain_ranges",
     "PipelineModel",
     "banked_model",

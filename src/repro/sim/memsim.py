@@ -32,13 +32,31 @@ from ..obs.conflicts import ConflictTable
 from ..obs.metrics import registry as obs_registry
 from ..obs.tracer import span
 from .trace import pattern_trace
-from .vectorized import SweepStats, simulate_sweep_vectorized
 
 #: Engine names accepted by :func:`simulate_sweep`.  ``"native"`` is the
 #: compiled tier (:mod:`repro.native`, built on first use): preferred by
 #: ``"auto"`` whenever it loads, and a clear
 #: :class:`~repro.errors.NativeUnavailableError` when forced without it.
-ENGINES = ("auto", "scalar", "vectorized", "native")
+ENGINES = ("auto", "scalar", "native")
+
+
+@dataclass
+class SweepStats:
+    """Raw sweep measurements shared by both engines.
+
+    :func:`simulate_sweep` turns this into the public
+    :class:`SimulationReport` and mirrors it into the metrics registry, so
+    the two engines cannot drift in how they publish.
+    """
+
+    iterations: int
+    total_cycles: int
+    worst_cycles: int
+    cycle_histogram: Dict[int, int]
+    bank_utilization: Dict[int, float]
+    ports_per_bank: int
+    bank_conflicts: Dict[int, int]
+    bank_accesses: Dict[int, int]
 
 
 @dataclass(frozen=True)
@@ -113,10 +131,10 @@ class SimulationReport:
         )
 
 
-def _vectorized_capable(mapping: BankMapping) -> bool:
-    """Whether the bulk engine's batch math is valid for this mapping.
+def _bulk_capable(mapping: BankMapping) -> bool:
+    """Whether the native engine's batch math is valid for this mapping.
 
-    The vectorized path recomputes ``B(x)``/``F(x)`` from the mapping's
+    The native engine recomputes ``B(x)``/``F(x)`` from the mapping's
     *formulas*, so a subclass that overrides the scalar address methods
     (tests use exactly this to inject corruption) would silently diverge.
     Eligible are the stock mapping types plus any type with a registered
@@ -136,17 +154,16 @@ def _vectorized_capable(mapping: BankMapping) -> bool:
 def resolve_engine(mapping: BankMapping, engine: str = "auto") -> str:
     """Concrete engine ``simulate_sweep`` will run for this mapping.
 
-    Selection order for ``"auto"``: ``native`` (when the compiled
-    extension, built on first use, loads) → ``vectorized`` → ``scalar``.
-    The native engine shares the vectorized
-    engine's eligibility rule — its kernels and hybrid bulk path
-    recompute addresses from the mapping's *formulas*, so a subclass that
-    overrides the scalar address methods must fall back to scalar.
+    ``"auto"`` selects ``native`` when the compiled extension (built on
+    first use) loads and the mapping is eligible, else ``scalar``.  The
+    native kernels and its hybrid bulk path recompute addresses from the
+    mapping's *formulas*, so a subclass that overrides the scalar address
+    methods must fall back to scalar.
 
     Forcing an ineligible engine raises: :class:`SimulationError` for a
     formula-overriding subclass, :class:`~repro.errors.NativeUnavailableError`
     for ``engine="native"`` without a usable extension.  ``"auto"`` never
-    raises — missing native degrades silently to the NumPy engines.
+    raises — missing native degrades silently to the scalar reference.
     """
     from .. import native
 
@@ -154,19 +171,18 @@ def resolve_engine(mapping: BankMapping, engine: str = "auto") -> str:
         raise SimulationError(
             f"unknown simulation engine {engine!r}; choose one of {ENGINES}"
         )
-    bulk_capable = _vectorized_capable(mapping)
+    bulk_capable = _bulk_capable(mapping)
     if engine == "auto":
-        if not bulk_capable:
-            return "scalar"
-        return "native" if native.available() else "vectorized"
-    if engine in ("vectorized", "native") and not bulk_capable:
-        raise SimulationError(
-            f"engine={engine!r} supports stock BankMapping types and types "
-            f"with a registered bulk kernel only; {type(mapping).__name__} "
-            "overrides scalar address methods the bulk path cannot honor — "
-            "use engine='scalar' (or register_bulk_kernel for the type)"
-        )
+        return "native" if bulk_capable and native.available() else "scalar"
     if engine == "native":
+        if not bulk_capable:
+            raise SimulationError(
+                f"engine={engine!r} supports stock BankMapping types and "
+                f"types with a registered bulk kernel only; "
+                f"{type(mapping).__name__} overrides scalar address methods "
+                "the bulk path cannot honor — use engine='scalar' (or "
+                "register_bulk_kernel for the type)"
+            )
         native.require()  # NativeUnavailableError when it cannot load
     return engine
 
@@ -298,15 +314,13 @@ def simulate_sweep(
         observability is enabled.
     engine:
         ``"auto"`` (default) uses the fastest eligible engine for the
-        mapping — the compiled ``native`` tier when the optional extension
-        is built (:mod:`repro.native`), else the ``vectorized`` NumPy path
-        for stock mapping types, else the scalar reference;
-        ``"scalar"``/``"vectorized"``/``"native"`` force an engine.  All
-        produce bit-identical reports.  Forcing a bulk engine on a mapping
-        subclass with overridden address methods is an error, and forcing
-        ``"native"`` without the extension raises
-        :class:`~repro.errors.NativeUnavailableError` (see
-        :func:`resolve_engine`).
+        mapping — the compiled ``native`` tier when the extension loads
+        (:mod:`repro.native`, built on first use), else the scalar
+        reference; ``"scalar"``/``"native"`` force an engine.  Both produce
+        bit-identical reports.  Forcing ``"native"`` on a mapping subclass
+        with overridden address methods is an error, and forcing it without
+        the extension raises :class:`~repro.errors.NativeUnavailableError`
+        (see :func:`resolve_engine`).
     """
     engine = resolve_engine(mapping, engine)
 
@@ -331,16 +345,6 @@ def simulate_sweep(
             from .native import simulate_sweep_native
 
             stats = simulate_sweep_native(
-                mapping,
-                array=array,
-                step=step,
-                limit=limit,
-                ports_per_bank=ports_per_bank,
-                verify=verify,
-                attribution=attribution,
-            )
-        elif engine == "vectorized":
-            stats = simulate_sweep_vectorized(
                 mapping,
                 array=array,
                 step=step,

@@ -39,39 +39,39 @@ the ``repro.verify`` differential oracles catch that.
 Without attribution the sweep is one call over the whole domain.  With it,
 the domain goes in chunks of about :func:`~repro.core.vectorized.chunk_budget`
 reads, whose banks and cycles feed the conflict table.  Either way a
-missing read outranks a corruption found earlier in the same chunk, as in
-the NumPy engine.
+missing read outranks a corruption found earlier in the same chunk, as on
+the hybrid path.
 
 Bulk-capable mappings *without* a spec (``PackedBankMapping``, any type
 registered only via :func:`repro.core.vectorized.register_bulk_kernel`)
-take the **hybrid** path: the NumPy engine's load and addresses, with only
-the conflict accounting (``conflict_stats``) in C.
+take the **hybrid** path: NumPy loads the banks and computes each chunk's
+addresses with the registered bulk kernel, and only the conflict
+accounting (``conflict_stats``) runs in C.
 
-Both paths produce the identical :class:`~repro.sim.vectorized.SweepStats`
-of the other engines, bit for bit and with the same error messages.
+Both paths produce the :class:`~repro.sim.memsim.SweepStats` of the scalar
+reference, bit for bit and with the same error messages.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.mapping import BankMapping
-from ..core.vectorized import bulk_addresses, chunk_budget, grid_size
+from ..core.pattern import Pattern
+from ..core.vectorized import (
+    bulk_addresses,
+    chunk_budget,
+    grid_size,
+    iter_element_chunks,
+)
 from ..errors import SimulationError
 from ..native import native_spec_for, require
 from ..obs.conflicts import ConflictTable
 from ..obs.tracer import span
-from .vectorized import (
-    SweepStats,
-    _check_array_shape,
-    _iteration_block,
-    _loaded_storage,
-    _origin_deltas,
-    _raise_corruption,
-    _sweep_domain,
-)
+from .memsim import SweepStats
+from .trace import domain_ranges
 
 _STATUS_OK = 0
 _STATUS_MISSING = 1
@@ -91,6 +91,100 @@ def _raise_bad_address(kernel: str, element: Sequence[int]) -> None:
         f"native {kernel} kernel computed an out-of-range address for "
         f"element {tuple(int(c) for c in element)}; the mapping's native "
         "spec disagrees with its allocation"
+    )
+
+
+def _check_array_shape(mapping: BankMapping, data: "np.ndarray") -> None:
+    if data.shape != mapping.shape:
+        raise SimulationError(
+            f"array shape {data.shape} does not match mapping shape "
+            f"{mapping.shape}"
+        )
+
+
+def _loaded_storage(
+    mapping: BankMapping,
+    array: "np.ndarray",
+    bases: "np.ndarray",
+    sizes: "np.ndarray",
+    chunk: int | None,
+) -> Tuple["np.ndarray", "np.ndarray"]:
+    """Scatter the array into flat bank storage; return (values, written)."""
+    data = np.asarray(array)
+    _check_array_shape(mapping, data)
+    flat = data.reshape(-1)
+    total_slots = int(bases[-1] + sizes[-1]) if len(sizes) else 0
+    storage = np.zeros(total_slots, dtype=np.int64)
+    written = np.zeros(total_slots, dtype=bool)
+    for start, elements in iter_element_chunks(mapping.shape, chunk):
+        banks, offsets = bulk_addresses(mapping, elements)
+        if (offsets < 0).any() or (offsets >= sizes[banks]).any():
+            bad = int(np.nonzero((offsets < 0) | (offsets >= sizes[banks]))[0][0])
+            raise SimulationError(
+                f"offset {int(offsets[bad])} out of range for bank "
+                f"{int(banks[bad])} of size {int(sizes[banks[bad]])}"
+            )
+        addresses = bases[banks] + offsets
+        # Row-major element order + NumPy's last-write-wins fancy assignment
+        # reproduce the scalar load exactly, collisions included.
+        storage[addresses] = flat[start : start + len(elements)].astype(np.int64)
+        written[addresses] = True
+    return storage, written
+
+
+def _sweep_domain(
+    mapping: BankMapping, step: int, limit: int | None
+) -> Tuple[List[range], Tuple[int, ...], int]:
+    """The sweep's loop ranges, their lengths, and the iterations to run."""
+    ranges = domain_ranges(mapping.solution.pattern, mapping.shape, step)
+    lens = tuple(len(r) for r in ranges)
+    total = grid_size(lens)
+    if limit is not None:
+        total = min(total, limit)
+    if total < 1:
+        raise SimulationError("empty trace: domain produced no iterations")
+    return ranges, lens, total
+
+
+def _origin_deltas(pattern: Pattern) -> "np.ndarray":
+    """The pattern's offsets less its minimum corner ``mins``, as (m, n).
+
+    Both paths take loop offsets plus ``mins`` and pattern offsets less
+    it.  Every element ``s + d`` stays the same and every coordinate lies
+    in ``[0, shape)``, so a pattern translated far beyond int64 still fits.
+    """
+    low = pattern.mins
+    return np.array(
+        [[c - lo for c, lo in zip(offset, low)] for offset in pattern.offsets],
+        dtype=np.int64,
+    )
+
+
+def _iteration_block(
+    ranges: Sequence[range], lens: Tuple[int, ...], lo: int, hi: int
+) -> "np.ndarray":
+    """Loop offsets for row-major strided-domain indices ``lo … hi - 1``,
+    relative to the origin (the domain starts at ``-mins``)."""
+    linear = np.arange(lo, hi, dtype=np.int64)
+    coords = np.unravel_index(linear, lens)
+    block = np.empty((hi - lo, len(lens)), dtype=np.int64)
+    for dim, rng in enumerate(ranges):
+        block[:, dim] = coords[dim] * rng.step
+    return block
+
+
+def _raise_corruption(
+    ranges: Sequence[range],
+    relative: Sequence[int],
+    got: Sequence[int],
+    expected: Sequence[int],
+) -> None:
+    """The scalar engine's corruption error for the iteration whose loop
+    offset, relative to the origin, is ``relative``."""
+    offset = tuple(rng.start + int(c) for rng, c in zip(ranges, relative))
+    raise SimulationError(
+        f"data corruption at offset {offset}: got {[int(v) for v in got]}, "
+        f"expected {[int(v) for v in expected]}"
     )
 
 
@@ -177,8 +271,8 @@ def simulate_sweep_native(
 
     The caller (``simulate_sweep``) owns engine resolution — including the
     :class:`~repro.errors.NativeUnavailableError` raised when the extension
-    is absent — and shared parameter validation, exactly as for the other
-    engines.
+    is absent — and shared parameter validation, exactly as for the scalar
+    engine.
     """
     compiled = require()
     spec = native_spec_for(mapping)
@@ -284,8 +378,7 @@ def _simulate_hybrid(
     attribution: Optional[ConflictTable],
     chunk: int | None,
 ) -> SweepStats:
-    """NumPy bulk addresses (identical to the vectorized engine), C
-    conflict accounting."""
+    """NumPy loads and bulk addresses, C conflict accounting."""
     solution = mapping.solution
     pattern = solution.pattern
     ports = max(ports_per_bank, solution.bank_ports)

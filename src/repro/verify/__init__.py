@@ -3,10 +3,10 @@
 Theorem 1's constant-time construction of ``α`` is only trustworthy if it
 is conflict-free for *every* pattern / bounding-box / ``N_max`` combination
 — not just the paper's Table 1 kernels.  This package cross-checks the
-repo's four independent partitioner implementations (paper solver, LTB
-scalar, LTB vectorized, the naive baselines) and two simulation engines
-against each other and against closed-form properties, on deterministic
-seed-driven random cases:
+repo's independent partitioner implementations (paper solver, LTB scalar,
+LTB native, the naive baselines) and two simulation engines against each
+other and against closed-form properties, on deterministic seed-driven
+random cases:
 
 * :mod:`repro.verify.gen` — stratified case generator (dims 1–4,
   degenerate shapes, scheme choices), fully deterministic per seed.

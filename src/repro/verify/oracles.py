@@ -26,14 +26,13 @@ quantity:
     only the **last** dimension is padded, and the storage overhead equals
     the Section 4.4 closed form.
 ``sim_differential``
-    The scalar (``hw.banked_memory`` replay), vectorized, and — when the
-    compiled extension is built — native simulation engines produce
-    bit-identical reports, and the measured ``δ(II)`` agrees with the
-    solver's claim (equality for direct solutions, bounded above for
-    two-level).
+    The scalar (``hw.banked_memory`` replay) and — when the compiled
+    extension is built — native simulation engines produce bit-identical
+    reports, and the measured ``δ(II)`` agrees with the solver's claim
+    (equality for direct solutions, bounded above for two-level).
 ``ltb_differential``
-    On small instances, every LTB search engine (scalar, vectorized, and
-    native when built) returns the same first-hit vector, the same
+    On small instances, both LTB search engines (scalar, and native when
+    built) return the same first-hit vector, the same
     ``vectors_tried``/``candidates_tried`` and identical op charges (or
     fails identically), and LTB's minimum never exceeds our ``N_f``.
 ``symmetry_reflection`` / ``symmetry_permutation`` / ``symmetry_composed``
@@ -301,17 +300,14 @@ def oracle_mapping(ctx: _Context) -> List[str]:
 def _differential_engines() -> Tuple[str, ...]:
     """Engines the differential oracles cross-check.
 
-    Always the scalar reference and the vectorized NumPy engine; the
-    compiled native engine joins whenever the extension loads, so a host
-    with a C compiler fuzzes three-way and one without degrades to the
-    two-engine form without error.
+    Always the scalar reference; the compiled native engine joins
+    whenever the extension loads, so a host with a C compiler fuzzes
+    scalar against native and one without checks the scalar reference
+    alone, without error.
     """
     from .. import native
 
-    engines = ("scalar", "vectorized")
-    if native.available():
-        engines += ("native",)
-    return engines
+    return ("scalar", "native") if native.available() else ("scalar",)
 
 
 def oracle_sim_differential(ctx: _Context) -> List[str]:

@@ -32,7 +32,7 @@ def _clean_solve_cache():
 
 
 #: Shown by ``pytest -rs`` whenever the native engine rows are skipped, so
-#: a run on a host that cannot build the extension is visibly a two-engine
+#: a run on a host that cannot build the extension is visibly a scalar-only
 #: run, never a silent loss of coverage.
 NATIVE_SKIP_REASON = (
     f"native extension unavailable: {native.build_info()['import_error']}"
@@ -64,7 +64,7 @@ def native_unavailable(monkeypatch, tmp_path):
 def engine_param(name: str):
     """An engine name as a pytest param; ``native`` skips when unavailable.
 
-    The single source of truth for the dual/tri-engine test matrix: every
+    The single source of truth for the engine test matrix: every
     engine-equivalence test parametrizes over these instead of hard-coding
     engine pairs, so the compiled tier joins (or cleanly leaves) the matrix
     in one place.
@@ -79,19 +79,13 @@ def engine_param(name: str):
     return pytest.param(name)
 
 
-@pytest.fixture(params=[engine_param("vectorized"), engine_param("native")])
+@pytest.fixture(params=[engine_param("native")])
 def fast_engine(request) -> str:
-    """Each batched sweep/search engine, to compare against ``scalar``."""
+    """The compiled sweep/search engine, to compare against ``scalar``."""
     return request.param
 
 
-@pytest.fixture(
-    params=[
-        engine_param("scalar"),
-        engine_param("vectorized"),
-        engine_param("native"),
-    ]
-)
+@pytest.fixture(params=[engine_param("scalar"), engine_param("native")])
 def sim_engine(request) -> str:
     """Every concrete engine name (for shared validation behaviour)."""
     return request.param
@@ -99,13 +93,12 @@ def sim_engine(request) -> str:
 
 @pytest.fixture(scope="session")
 def fast_engines() -> list:
-    """Names of the available batched engines (for in-test loops where a
+    """Names of the compiled engines (for in-test loops where a
     parametrized fixture would clash with Hypothesis's function-scoped
-    fixture health check)."""
-    names = ["vectorized"]
-    if native.available():
-        names.append("native")
-    return names
+    fixture health check); skips, with the reason, where none builds."""
+    if not native.available():
+        pytest.skip(NATIVE_SKIP_REASON)
+    return ["native"]
 
 
 @pytest.fixture

@@ -4,9 +4,8 @@ Covers the cyclic/block :class:`~repro.core.mapping.BankMapping` subclasses
 (:mod:`repro.baselines.mapping`): address correctness against the scalar
 reference, bijectivity, overhead accounting against each scheme's closed
 form, and — the point of the registration — that ``simulate_sweep`` runs
-them through the batched engines (vectorized, and native when the
-extension is built — the shared ``fast_engine`` fixture) with bit-identical
-reports.
+them through the native engine (the shared ``fast_engine`` fixture) with
+reports bit-identical to the scalar reference.
 """
 
 from __future__ import annotations

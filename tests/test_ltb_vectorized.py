@@ -1,29 +1,28 @@
-"""Engine equivalence of the LTB search: scalar vs vectorized vs native.
+"""Engine equivalence of the LTB search: scalar vs native.
 
-Every batched engine must be indistinguishable from the published scalar
+The compiled engine must be indistinguishable from the published scalar
 enumeration in every observable: the winning ``(N, α)`` (lexicographic
 first hit), ``vectors_tried``/``candidates_tried``, and the *exact*
 per-kind :class:`~repro.core.opcount.OpCounter` charges — including on the
-failure path, where ``n_max`` exhaustion must raise with identical charges
-at any chunk boundary.  Tests parametrize over the shared ``fast_engine``
-fixture (``conftest.py``), so the compiled engine runs the same bodies when
-built and skips with a visible reason when not.
+failure path, where ``n_max`` exhaustion must raise with identical charges.
+Tests parametrize over the shared ``fast_engine`` fixture (``conftest.py``),
+so the native rows skip with a visible reason where the extension cannot be
+built.
 """
 
 from __future__ import annotations
-
-import importlib
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.baselines import LTB_ENGINES, ltb_chunk_budget, ltb_partition
+from repro import native
+from repro.baselines import LTB_ENGINES, ltb_partition
 from repro.baselines.ltb import resolve_ltb_engine
 from repro.core import OpCounter, Pattern
 from repro.core.analysis import optimality_gap
 from repro.errors import PartitioningError
-from repro.patterns import gaussian_pattern, log_pattern, median_pattern
+from repro.patterns import log_pattern, median_pattern
 
 from conftest import engine_param
 
@@ -35,7 +34,7 @@ def _run(pattern, engine, **kwargs):
     return result, ops
 
 
-def _assert_equivalent(pattern, engine="vectorized", **kwargs):
+def _assert_equivalent(pattern, engine, **kwargs):
     scalar, scalar_ops = _run(pattern, "scalar")
     fast, fast_ops = _run(pattern, engine, **kwargs)
     assert fast.solution.n_banks == scalar.solution.n_banks
@@ -80,26 +79,10 @@ class TestEquivalence:
         for engine in fast_engines:
             _assert_equivalent(pattern, engine=engine)
 
-    @pytest.mark.parametrize("chunk", [1, 2, 9, 10, 100])
-    def test_chunk_boundaries(self, chunk):
-        # The LoG hit lands at different positions within a block for each
-        # budget; charges and the first hit must not move.  (chunk is a
-        # vectorized-engine knob; the native engine ignores it.)
-        _assert_equivalent(log_pattern(), chunk=chunk)
-
-    def test_default_chunk_follows_the_bulk_default(self, monkeypatch):
-        monkeypatch.setattr(
-            importlib.import_module("repro.core.vectorized"),
-            "DEFAULT_CHUNK_ELEMENTS",
-            7,
-        )
-        assert ltb_chunk_budget() == 7
-        _assert_equivalent(gaussian_pattern())
-
     def test_auto_matches_resolved_engine(self):
         pattern = median_pattern()
         resolved = resolve_ltb_engine("auto")
-        assert resolved in ("vectorized", "native")
+        assert resolved == ("native" if native.available() else "scalar")
         auto, auto_ops = _run(pattern, "auto")
         fast, fast_ops = _run(pattern, resolved)
         assert auto == fast
@@ -113,7 +96,7 @@ _FAR = Pattern([(5, 7), (2**62 - 1, 2**62 - 3), (9, 1)])
 
 class TestFarOffsets:
     @pytest.mark.parametrize(
-        "engine", [engine_param(name) for name in ("scalar", "vectorized", "native")]
+        "engine", [engine_param(name) for name in ("scalar", "native")]
     )
     def test_far_offsets_find_the_true_minimum(self, engine):
         result, ops = _run(_FAR, engine)
@@ -137,53 +120,92 @@ class TestFarOffsets:
             _assert_equivalent(Pattern(offsets), engine=fast_engine)
 
     def test_bank_counts_past_int64_products(self):
-        # (N−1)² leaves int64 at N = 2^33 + 1, so the NumPy engine computes
-        # this block's residues with Python integers; α = (0,) sends all
-        # offsets to bank 0 and α = (1,) separates them.
+        # (N−1)² leaves int64 at N = 2^33 + 1, so the native scan sums this
+        # pattern's residues in 128 bits, and an N-entry seen table would
+        # take 64 GiB; α = (0,) sends all offsets to bank 0 and α = (1,)
+        # separates them.
         pattern = Pattern([(0,), (2**40 + 3,), (5,)])
         n_banks = 2**33 + 1
+        for engine in ("scalar", "native", "auto"):
+            if engine == "native" and not native.available():
+                continue
+            result, ops = _run(pattern, engine, start_n=n_banks, n_max=n_banks)
+            assert result.solution.n_banks == n_banks
+            assert result.solution.transform.alpha == (1,)
+            assert result.vectors_tried == 2
+            assert ops.counts == {"mul": 6, "mod": 6, "compare": 6}
+
+    @pytest.mark.parametrize(
+        "engine", [engine_param(name) for name in ("scalar", "native", "auto")]
+    )
+    def test_bank_counts_past_the_seen_table(self, engine):
+        # 2^30 + 1 banks: the products still fit int64, but the native scan
+        # compares each residue with the candidate's earlier ones instead of
+        # allocating a seen table of N entries (8 GiB).
+        n_banks = 2**30 + 1
         result, ops = _run(
-            pattern, "vectorized", start_n=n_banks, n_max=n_banks, chunk=6
+            Pattern([(0,), (2**40 + 3,), (5,)]),
+            engine,
+            start_n=n_banks,
+            n_max=n_banks,
         )
-        assert result.solution.n_banks == n_banks
         assert result.solution.transform.alpha == (1,)
         assert result.vectors_tried == 2
         assert ops.counts == {"mul": 6, "mod": 6, "compare": 6}
 
+    @pytest.mark.parametrize("n_banks", [13, 2**20 + 3])
+    def test_every_candidate_with_a_zero_first_digit_collides(
+        self, n_banks, fast_engine
+    ):
+        # All offsets share their last coordinate, so each α = (0, a) maps
+        # them to one bank and stops at the second offset (2 compares);
+        # α = (1, 0) is the first hit, after the odometer's carry.  Past
+        # 2^20 banks the native scan takes the m-entry check.
+        result, ops = _run(
+            Pattern([(0, 0), (1, 0), (2, 0)]),
+            fast_engine,
+            start_n=n_banks,
+            n_max=n_banks,
+        )
+        tried = n_banks + 1
+        assert result.solution.transform.alpha == (1, 0)
+        assert result.vectors_tried == tried
+        assert ops.counts == {
+            "mul": 6 * tried,
+            "add": 3 * tried,
+            "mod": 3 * tried,
+            "compare": 2 * n_banks + 4,
+        }
+
 
 class TestExhaustion:
-    @pytest.mark.parametrize("chunk", [1, 3, 50, None])
-    def test_nmax_exhaustion_charges_match_scalar(self, chunk, fast_engine):
+    @pytest.mark.parametrize("start_n", [1, 3, 50, None])
+    def test_nmax_exhaustion_charges_match_scalar(self, start_n, fast_engine):
         # LoG needs 13 banks; capping at 12 exhausts every candidate N.
+        # Starting at 1 or 3 scans each failing N up to the cap; starting
+        # at 50, or at the default m = 13, begins past it and scans none.
         pattern = log_pattern()
         scalar_ops = OpCounter()
         with pytest.raises(PartitioningError):
-            ltb_partition(pattern, n_max=12, ops=scalar_ops, engine="scalar")
+            ltb_partition(
+                pattern, n_max=12, ops=scalar_ops, start_n=start_n,
+                engine="scalar",
+            )
         fast_ops = OpCounter()
         with pytest.raises(PartitioningError):
             ltb_partition(
-                pattern, n_max=12, ops=fast_ops, engine=fast_engine, chunk=chunk
+                pattern, n_max=12, ops=fast_ops, start_n=start_n,
+                engine=fast_engine,
             )
         assert fast_ops.counts == scalar_ops.counts
+        assert bool(scalar_ops.counts) == (start_n is not None and start_n <= 12)
 
 
 class TestValidation:
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown LTB engine"):
-            ltb_partition(log_pattern(), engine="simd")
+        for engine in ("simd", "vectorized"):
+            with pytest.raises(ValueError, match="unknown LTB engine"):
+                ltb_partition(log_pattern(), engine=engine)
 
     def test_engine_names(self):
-        assert LTB_ENGINES == ("auto", "scalar", "vectorized", "native")
-
-    @pytest.mark.parametrize("chunk", [0, -4])
-    def test_nonpositive_chunk_rejected(self, chunk):
-        with pytest.raises(ValueError, match="chunk budget"):
-            ltb_chunk_budget(chunk)
-
-    def test_explicit_chunk_overrides_default(self, monkeypatch):
-        monkeypatch.setattr(
-            importlib.import_module("repro.core.vectorized"),
-            "DEFAULT_CHUNK_ELEMENTS",
-            11,
-        )
-        assert ltb_chunk_budget(5) == 5
+        assert LTB_ENGINES == ("auto", "scalar", "native")

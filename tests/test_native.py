@@ -1,19 +1,19 @@
 """The compiled tier's contract: building, loading, selection, fallback.
 
-Engine *equivalence* lives in the shared dual/tri-engine matrices
+Engine *equivalence* lives in the shared engine matrices
 (``test_vectorized_sim.py``, ``test_ltb_vectorized.py``,
 ``test_baseline_sim.py``); this file covers everything around it:
 
 * the loader: built on first use into a per-user cache keyed by source
   hash, reused without a compiler afterwards, published atomically for
   racing processes, and refused when the cache is not private;
-* ``engine="auto"`` selection order (native → vectorized → scalar) and the
-  guarantee that auto never raises when the tier is unavailable;
+* ``engine="auto"`` selection order (native → scalar) and the guarantee
+  that auto never raises when the tier is unavailable;
 * explicit ``engine="native"`` failing loudly with
   :class:`~repro.errors.NativeUnavailableError` and the compiler's message;
 * the fused-kernel spec registry's validation rules;
-* the verify tier degrading to its two-engine differential form — not
-  erroring — when the native engine is unavailable;
+* the verify tier degrading to the scalar reference alone — not erroring —
+  when the native engine is unavailable;
 * the server loading the tier before it accepts a connection.
 
 The unavailable tier is simulated by the ``native_unavailable`` fixture (a
@@ -40,6 +40,7 @@ from repro.core import BankMapping, partition
 from repro.errors import MappingError, ReproError, SimulationError
 from repro.patterns import log_pattern, se_pattern
 from repro.serve import ServeClient, ServeError, serve_in_thread
+from repro.serve.protocol import parse_simulate_spec
 from repro.sim.memsim import ENGINES, resolve_engine, simulate_sweep
 from repro.verify.oracles import _differential_engines
 
@@ -213,15 +214,20 @@ class TestLoader:
 
 
 class TestSelection:
-    def test_auto_prefers_native_then_vectorized(self):
-        expected = "native" if native.available() else "vectorized"
+    def test_auto_prefers_native_then_scalar(self):
+        expected = "native" if native.available() else "scalar"
         assert resolve_engine(_mapping()) == expected
         assert resolve_ltb_engine("auto") == expected
 
-    def test_unavailable_tier_resolves_auto_to_numpy(self, native_unavailable):
+    def test_unavailable_tier_resolves_auto_to_scalar(self, native_unavailable):
         assert not native.available()
-        assert resolve_engine(_mapping()) == "vectorized"
-        assert resolve_ltb_engine("auto") == "vectorized"
+        assert resolve_engine(_mapping()) == "scalar"
+        assert resolve_ltb_engine("auto") == "scalar"
+        # The server estimates an auto /simulate as the engine it will run.
+        doc = {"benchmark": "log", "shape": [16, 20]}
+        assert parse_simulate_spec(doc).work_estimate() == parse_simulate_spec(
+            {**doc, "engine": "scalar"}
+        ).work_estimate()
 
     def test_auto_never_raises_when_native_missing(self, native_unavailable):
         report = simulate_sweep(_mapping(), engine="auto")
@@ -259,8 +265,7 @@ class TestExplicitNativeFailsLoudly:
 
     def test_ineligible_mapping_beats_availability(self, native_unavailable):
         # A formula-overriding subclass is rejected for engine="native"
-        # with the dispatch error (not an availability error), matching
-        # the vectorized engine's contract.
+        # with the dispatch error, not an availability error.
         class Tweaked(BankMapping):
             def offset_of(self, element, ops=None):
                 return super().offset_of(element, ops)
@@ -349,8 +354,12 @@ class TestSweepKernelArguments:
         outputs chosen by the caller."""
         import numpy as np
 
-        from repro.sim.native import _bank_layout, _kernel_layout
-        from repro.sim.vectorized import _origin_deltas, _sweep_domain
+        from repro.sim.native import (
+            _bank_layout,
+            _kernel_layout,
+            _origin_deltas,
+            _sweep_domain,
+        )
 
         compiled = native.require()
         mapping = _mapping()
@@ -403,18 +412,14 @@ class TestSweepKernelArguments:
 
 
 class TestVerifyDegradation:
-    def test_oracles_degrade_to_two_engine_form(self, native_unavailable):
-        assert _differential_engines() == ("scalar", "vectorized")
+    def test_oracles_degrade_to_the_scalar_reference(self, native_unavailable):
+        assert _differential_engines() == ("scalar",)
 
     def test_oracles_include_native_when_available(self):
-        expected = (
-            ("scalar", "vectorized", "native")
-            if _BUILT is not None
-            else ("scalar", "vectorized")
-        )
+        expected = ("scalar", "native") if _BUILT is not None else ("scalar",)
         assert _differential_engines() == expected
 
-    def test_two_engine_oracles_still_run_clean(self, native_unavailable):
+    def test_scalar_only_oracles_still_run_clean(self, native_unavailable):
         # The full differential oracles execute without error (and without
         # failures) when the native engine is unavailable.
         from repro.verify import CaseSpec, run_oracles

@@ -331,6 +331,9 @@ class TestCli:
 
         with pytest.raises(SystemExit):
             main_profile(["nonsense!!"])
+        with pytest.raises(SystemExit) as info:
+            main_profile(["avg2x2", "--engine", "vectorized"])
+        assert info.value.code == 2
         obs.disable()
 
     @pytest.mark.parametrize("command", ["table1", "verify"])

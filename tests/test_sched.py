@@ -84,6 +84,55 @@ def _traced_body(item: int) -> str:
         return obs.current_trace_id() or ""
 
 
+#: A sweep grid whose cells share solves: LoG under two bank ceilings, each
+#: translated 8 ways, on a 32×32 array — 16 cells over 2 canonical solves.
+_GRID_N_MAXES = (8, 10)
+_GRID_TRANSLATIONS = 8
+_GRID_SHAPE = (32, 32)
+
+
+def _grid_solve(n_max: int) -> dict:
+    """A cell's shareable work: a cold solve of LoG and its simulation.
+
+    ``cache=False``: the memo would hide real solver executions (per
+    worker, so nondeterministically), and the saving under test must come
+    from the scheduler's dedup alone.
+    """
+    from repro.core.solver import solve
+    from repro.patterns import log_pattern
+    from repro.sim.memsim import simulate_sweep
+
+    result = solve(log_pattern(), shape=_GRID_SHAPE, n_max=n_max, cache=False)
+    report = simulate_sweep(result.mapping, verify=False, engine="auto")
+    solution = result.solution
+    return {
+        "n_banks": solution.n_banks,
+        "delta_ii": solution.delta_ii,
+        "alpha": list(solution.transform.alpha),
+        "measured_ii": report.measured_ii,
+        "overhead_elements": result.overhead_elements,
+    }
+
+
+def _grid_row(cell, shared: dict) -> dict:
+    """A cell's own arithmetic on the shared solve."""
+    from repro.patterns import log_pattern
+
+    translation, n_max = cell
+    first = log_pattern().translated(translation).offsets[0]
+    alpha, n_banks = shared["alpha"], shared["n_banks"]
+    return {
+        "cell": (translation, n_max),
+        "first_offset_bank": sum(a * o for a, o in zip(alpha, first)) % n_banks,
+        **{k: v for k, v in shared.items() if k != "alpha"},
+    }
+
+
+def _grid_flat_cell(cell) -> dict:
+    """The flat map's cell: its own solve and simulation, then its row."""
+    return _grid_row(cell, _grid_solve(cell[1]))
+
+
 class TestPlanning:
     def test_cycle_detected_before_any_execution(self):
         ran = []
@@ -109,8 +158,9 @@ class TestPlanning:
             gather([Task(_square, args=(2,))], jobs=-3)
 
     def test_placement_and_dep_validation(self):
-        with pytest.raises(ValueError, match="placement"):
-            Task(_square, args=(1,), placement="gpu")
+        for placement in ("gpu", "thread"):
+            with pytest.raises(ValueError, match="placement must be one of"):
+                Task(_square, args=(1,), placement=placement)
         with pytest.raises(TypeError, match="deps must be Task"):
             Task(_square, args=(1,), deps=(lambda: None,))
 
@@ -194,7 +244,7 @@ class TestDedup:
         assert gather(tasks) == [0, 1, 4, 9]
 
     def test_translated_solve_keys_share_a_digest(self):
-        # The paper-level sharing property the dag[] bench leans on:
+        # The paper-level sharing property TestSharedSolveGrid leans on:
         # translated copies of one pattern canonicalize to one solve key.
         from repro.core.cache import solve_key, stable_digest
         from repro.patterns import log_pattern
@@ -348,9 +398,50 @@ class TestMapTasks:
                 raise AssertionError("serial path must not construct a pool")
 
         monkeypatch.setattr(runtime, "ProcessPoolExecutor", _Bomb)
-        monkeypatch.setattr(runtime, "ThreadPoolExecutor", _Bomb)
         assert map_tasks(_square, [1, 2, 3], jobs=1) == [1, 4, 9]
         assert map_tasks(_square, [7], jobs=8) == [49]
+
+
+class TestSharedSolveGrid:
+    def test_keyed_dag_matches_the_flat_map_with_fewer_solves(self):
+        from repro.core.cache import solve_key, stable_digest
+        from repro.patterns import log_pattern
+
+        cells = [
+            ((t, 2 * t), n_max)
+            for t in range(_GRID_TRANSLATIONS)
+            for n_max in _GRID_N_MAXES
+        ]
+        flat = map_tasks(_grid_flat_cell, cells, jobs=2)
+
+        keys, row_tasks = [], []
+        for cell in cells:
+            translation, n_max = cell
+            pattern = log_pattern().translated(translation)
+            key = ("grid.solve", solve_key(pattern, _GRID_SHAPE, n_max, "latency", 0))
+            keys.append(key)
+            solve_task = Task(
+                _grid_solve, args=(n_max,), key=key, placement="process"
+            )
+            row_tasks.append(
+                Task(_grid_row, args=(cell,), deps=(solve_task,), placement="inline")
+            )
+        index = {task: i for i, task in enumerate(row_tasks)}
+        rows = [None] * len(row_tasks)
+        solves = 0
+        for outcome in run_stream(row_tasks, jobs=2):
+            assert outcome.ok, outcome.error
+            if outcome.task in index:
+                rows[index[outcome.task]] = outcome.value
+            elif not outcome.deduped:
+                solves += 1
+
+        assert rows == flat
+        distinct = len({stable_digest(key) for key in keys})
+        assert len(cells) / distinct >= 4
+        # The flat map solves once per cell, by construction.
+        assert solves <= len(cells)
+        assert 1 - solves / len(cells) >= 0.30
 
 
 class TestTelemetry:

@@ -667,6 +667,20 @@ class TestSimulateEndpoint:
         }
         assert _scheduled() == before
 
+    @pytest.mark.parametrize("engine", ["vectorized", "warp"])
+    def test_unknown_engine_is_400_before_any_solve(self, client, engine):
+        before = _scheduled()
+        status, data, _ = client._request(
+            "POST",
+            "/simulate",
+            {"benchmark": "se", "shape": [16, 16], "engine": engine},
+        )
+        assert status == 400, data
+        error = json.loads(data)["error"]
+        assert error["code"] == "bad_request"
+        assert error["message"].startswith(f"unknown engine {engine!r}")
+        assert _scheduled() == before
+
     def test_oversized_shape_is_400_before_any_solve(self, client):
         before = _scheduled()
         with pytest.raises(ServeError) as info:

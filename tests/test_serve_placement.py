@@ -153,11 +153,11 @@ class TestWorkEstimate:
 
     def test_simulate_estimate_counts_elements_and_reads(self):
         sim = parse_simulate_spec(
-            {"benchmark": "log", "shape": [16, 20], "step": 2, "engine": "vectorized"}
+            {"benchmark": "log", "shape": [16, 20], "step": 2, "engine": "native"}
         )
         # LoG is 5×5: 12 × 16 loop offsets, every second one on each axis.
         reads = 6 * 8 * log_pattern().size
-        assert sim.work_estimate() == ELEMENT_WORK["vectorized"] * (16 * 20 + reads)
+        assert sim.work_estimate() == ELEMENT_WORK["native"] * (16 * 20 + reads)
         limited = parse_simulate_spec(
             {"benchmark": "log", "shape": [16, 20], "limit": 5, "engine": "scalar"}
         )

@@ -3,16 +3,15 @@
 Covers the execution paths added around the scalar reference
 implementations.  Engine-equivalence tests parametrize over the shared
 ``fast_engine``/``sim_engine`` fixtures (``conftest.py``), so the same
-bodies exercise the vectorized NumPy engine *and* the compiled native
-engine when the extension is built — and skip the native rows with a
-visible reason when it is not:
+bodies exercise the compiled native engine — and skip its rows with a
+visible reason where the extension cannot be built:
 
 * ``simulate_sweep(engine=...)`` — bit-identical reports across engines,
   dispatch rules for mapping subclasses, attribution equivalence.
 * ``same_size_sweep(engine=...)`` — identical results *and* identical op
   charges.
 * Disabled-telemetry overhead — no span allocations and zero per-element
-  Python mapping calls on the vectorized path.
+  Python mapping calls on the native path.
 * Bounded-chunk guards — correctness under tiny chunk budgets and the
   ``element_grid`` materialization cap.
 """
@@ -55,6 +54,7 @@ from repro.obs.conflicts import ConflictTable
 from repro.patterns import log_pattern, se_pattern
 from repro.patterns.generators import rectangle
 from repro.sim import simulate_sweep
+from repro.serve.protocol import SIM_ENGINES
 from repro.sim.memsim import ENGINES, resolve_engine
 
 
@@ -208,13 +208,16 @@ class TestEngineEquivalence:
     def test_default_engine_is_fastest_available(self):
         mapping = mapping_for()
         resolved = resolve_engine(mapping)
-        assert resolved in ("vectorized", "native")
+        assert resolved == ("native" if native.available() else "scalar")
         assert simulate_sweep(mapping) == simulate_sweep(mapping, engine=resolved)
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(SimulationError, match="unknown simulation engine"):
-            simulate_sweep(mapping_for(), engine="warp")
-        assert ENGINES == ("auto", "scalar", "vectorized", "native")
+        for engine in ("warp", "vectorized"):
+            with pytest.raises(SimulationError, match="unknown simulation engine"):
+                simulate_sweep(mapping_for(), engine=engine)
+        assert ENGINES == ("auto", "scalar", "native")
+        # The protocol imports repro.sim lazily, so it keeps its own copy.
+        assert SIM_ENGINES == ENGINES
 
 
 class TestSubclassDispatch:
@@ -276,7 +279,7 @@ class TestEngineErrorPaths:
         array = np.arange(12 * 14, dtype=np.int64).reshape(12, 14) * 3 - 7
         array[:6] = 0
         messages = {}
-        for engine in ("scalar", "vectorized", "native"):
+        for engine in ("scalar", "native"):
             if engine == "native" and not native.available():
                 continue
             with pytest.raises(SimulationError) as info:
@@ -296,7 +299,7 @@ class TestEngineErrorPaths:
         array = np.arange(12 * 14, dtype=np.int64).reshape(12, 14) * 3 - 7
         array[:6] = 0
         messages = {}
-        for engine in ("scalar", "vectorized", "native"):
+        for engine in ("scalar", "native"):
             if engine == "native" and not native.available():
                 continue
             with pytest.raises(SimulationError) as info:
@@ -320,7 +323,7 @@ class TestEngineErrorPaths:
 
 @pytest.mark.slow
 def test_benchmark_simulations_agree_on_every_engine(fast_engines):
-    """The 64×64 simulations ``perfbench`` times, on all three engines.
+    """The 64×64 simulations ``perfbench`` times, on both engines.
 
     The benchmark re-checks only a few served reports, each against the
     engine under test; here the scalar reference is the oracle.
@@ -419,7 +422,7 @@ class TestDisabledTelemetryOverhead:
 
         monkeypatch.setattr(tracer_mod, "Span", boom)
         assert tracer_mod.span("probe") is tracer_mod.NULL_SPAN
-        report = simulate_sweep(mapping_for(), engine="vectorized")
+        report = simulate_sweep(mapping_for(), engine="auto")
         assert report.iterations > 0
         report = simulate_sweep(mapping_for(), engine="scalar")
         assert report.iterations > 0
