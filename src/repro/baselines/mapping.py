@@ -1,4 +1,4 @@
-"""Full address mappings (and bulk kernels) for the naive baseline schemes.
+"""Full address mappings (and native specs) for the naive baseline schemes.
 
 :class:`~repro.baselines.cyclic.CyclicScheme` and
 :class:`~repro.baselines.block.BlockScheme` only hash elements to banks;
@@ -18,39 +18,29 @@ its :class:`~repro.core.partition.PartitionSolution` is a carrier for the
 bank count / measured ``δP`` / scheme label, and the bank hashing lives on
 the mapping override, never on ``solution.bank_of``.
 
-Importing this module registers NumPy bank-index kernels with the bulk
-dispatcher (:func:`repro.core.vectorized.register_bulk_kernel`), which
-makes ``simulate_sweep(engine="auto")`` batch baseline conflict
-simulations instead of replaying element by element — the same eligibility
-rule as the stock mappings, extended by registration.
+Importing this module registers a native spec for each type
+(:func:`repro.native.register_native_spec`), so
+``simulate_sweep(engine="auto")`` runs baseline conflict simulations in
+the compiled load and sweep kernels instead of replaying them element by
+element — the same eligibility rule as the stock mapping, extended by
+registration.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
-
-import numpy as np
+from typing import Sequence
 
 from ..core.mapping import BankMapping, Shape
 from ..core.opcount import OpCounter
 from ..core.partition import PartitionSolution
 from ..core.pattern import Pattern
 from ..core.transform import LinearTransform
-from ..core.vectorized import register_bulk_kernel
 from ..errors import MappingError
 from ..native import register_native_spec
 from .block import BlockScheme
 from .cyclic import CyclicScheme
-
-
-def _ravel_rows(coords: "np.ndarray", shape: Sequence[int]) -> "np.ndarray":
-    """Row-major ravel of a ``(k, n)`` coordinate batch over ``shape``."""
-    linear = np.zeros(len(coords), dtype=np.int64)
-    for dim, width in enumerate(shape):
-        linear = linear * int(width) + coords[:, dim]
-    return linear
 
 
 @dataclass(frozen=True)
@@ -176,24 +166,6 @@ def block_mapping(scheme: BlockScheme, pattern: Pattern) -> BlockBankMapping:
     return BlockBankMapping(solution=solution, shape=shape, dim=scheme.dim)
 
 
-def _cyclic_kernel(
-    mapping: CyclicBankMapping, elements: "np.ndarray"
-) -> Tuple["np.ndarray", "np.ndarray"]:
-    in_bank, banks = np.divmod(elements[:, mapping.dim], mapping.n_banks)
-    coords = elements.copy()
-    coords[:, mapping.dim] = in_bank
-    return banks, _ravel_rows(coords, mapping.bank_shape)
-
-
-def _block_kernel(
-    mapping: BlockBankMapping, elements: "np.ndarray"
-) -> Tuple["np.ndarray", "np.ndarray"]:
-    banks, in_bank = np.divmod(elements[:, mapping.dim], mapping.chunk)
-    coords = elements.copy()
-    coords[:, mapping.dim] = in_bank
-    return banks, _ravel_rows(coords, mapping.bank_shape)
-
-
 def _cyclic_spec(mapping: CyclicBankMapping) -> dict:
     return {
         "kind": 1,
@@ -214,11 +186,7 @@ def _block_spec(mapping: BlockBankMapping) -> dict:
     }
 
 
-register_bulk_kernel(CyclicBankMapping, _cyclic_kernel)
-register_bulk_kernel(BlockBankMapping, _block_kernel)
-
-# The same types also opt into the compiled tier's load and sweep kernels
-# (engine="native"); registration is pure metadata and costs nothing when
-# the extension cannot load.
+# Registration is pure metadata and costs nothing when the extension
+# cannot load.
 register_native_spec(CyclicBankMapping, _cyclic_spec)
 register_native_spec(BlockBankMapping, _block_spec)

@@ -28,6 +28,7 @@ import numpy as np
 
 from ..errors import PartitioningError
 from ..obs.tracer import span
+from . import vectorized
 from .opcount import OpCounter, resolve
 from .pattern import Pattern
 from .transform import LinearTransform, derive_alpha
@@ -301,12 +302,10 @@ def _sweep_conflicts_vectorized(
     Candidate blocks are bounded by the bulk chunk budget, so the
     ``(block, m)`` residue matrix stays within it for every ``n_max``.
     """
-    from .vectorized import chunk_budget  # local: avoids an import cycle
-
     z = np.asarray(z_values, dtype=np.int64)
     m = len(z_values)
     conflicts: List[Optional[int]] = [None]
-    block = max(1, chunk_budget() // m)
+    block = max(1, vectorized.DEFAULT_CHUNK_ELEMENTS // m)
     for lo in range(1, n_max + 1, block):
         ns = np.arange(lo, min(lo + block, n_max + 1), dtype=np.int64)
         residues = z[None, :] % ns[:, None]

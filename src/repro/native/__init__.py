@@ -22,16 +22,16 @@ existing ``engine=`` dispatch in :func:`repro.sim.memsim.simulate_sweep` and
   :class:`~repro.errors.NativeUnavailableError` naming the reason, which
   :func:`build_info` also reports.
 
-Like the NumPy bulk tier's kernel registry
-(:func:`repro.core.vectorized.register_bulk_kernel`), mapping types opt into
-the native load and sweep kernels by registering a spec builder with
-:func:`register_native_spec` (keyed by exact type — subclasses do not
-inherit, mirroring the conservative bulk dispatch).  The stock
-:class:`~repro.core.mapping.BankMapping` registers here; the cyclic/block
-baselines register theirs in :mod:`repro.baselines.mapping`.  Bulk-capable
-types *without* a spec (e.g. ``PackedBankMapping``) still run under
-``engine="native"`` through a hybrid path: addresses from the registered
-NumPy bulk kernel, conflict accounting in C.
+Mapping types opt into the native load and sweep kernels by registering a
+spec builder with :func:`register_native_spec`, the one registry of fast
+address math.  Lookup is by exact type: a subclass does not inherit its
+parent's spec, because it may override the scalar address methods the spec
+mirrors.  The stock :class:`~repro.core.mapping.BankMapping` registers
+here; the cyclic/block baselines register theirs in
+:mod:`repro.baselines.mapping`.  Types without a spec (e.g.
+``PackedBankMapping``) run the scalar reference under ``engine="auto"``,
+and ``engine="native"`` on them raises
+:class:`~repro.errors.SimulationError`.
 """
 
 from __future__ import annotations
@@ -290,7 +290,7 @@ def register_native_spec(mapping_type: type, builder: NativeSpecBuilder) -> None
     and sweep both follow the spec, so a spec that is injective but wrong
     passes every guard.  The engine test matrix and the
     ``repro.verify`` differential oracles enforce it.  Lookup is by exact
-    type, like :func:`repro.core.vectorized.register_bulk_kernel`.
+    type: subclasses do not inherit a spec.
     """
     if not (isinstance(mapping_type, type) and issubclass(mapping_type, BankMapping)):
         raise MappingError(
@@ -309,7 +309,8 @@ def has_native_spec(mapping_type: type) -> bool:
 
 
 def native_spec_for(mapping: BankMapping) -> Optional[Dict[str, Any]]:
-    """The native kernel spec for ``mapping``, or None (hybrid path)."""
+    """The native kernel spec for ``mapping``, or None when its exact type
+    has none."""
     builder = _NATIVE_SPECS.get(type(mapping))
     return None if builder is None else builder(mapping)
 

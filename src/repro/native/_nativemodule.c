@@ -1,32 +1,35 @@
 /* Compiled inner loops for the repro library (the native engine).
  *
- * Four entry points, all operating on caller-provided contiguous int64
+ * Three entry points, all operating on caller-provided contiguous int64
  * buffers (the Python wrappers in repro.sim.native / repro.baselines.ltb
  * guarantee dtype and layout, so this file never touches the NumPy C API):
  *
- *   load_banks     - scatter an array into flat bank storage in row-major
- *                    order, last write wins, for a mapping with a native
- *                    spec (the stock linear schemes and the cyclic/block
- *                    baselines), checking every offset against its bank.
- *   sweep          - walk the strided iteration domain and replay every
- *                    read of the pattern through the same mapping: the
- *                    uninitialized-read guard, the verify comparison and
- *                    bank-conflict accounting in one pass, with no division
- *                    per read (see the layout comment below).
- *   conflict_stats - the conflict-accounting segment alone, for the hybrid
- *                    path where addresses come from a registered NumPy bulk
- *                    kernel (repro.core.vectorized.register_bulk_kernel).
- *   ltb_scan       - the whole per-N LTB candidate search: lexicographic
- *                    odometer enumeration, residue check with Python modulo
- *                    semantics, first-duplicate detection, and the
- *                    comparison-charge tally the OpCounter model requires.
+ *   load_banks - scatter an array into flat bank storage in row-major
+ *                order, last write wins, for a mapping with a native spec
+ *                (the stock linear schemes and the cyclic/block
+ *                baselines), checking every offset against its bank.
+ *   sweep      - walk the strided iteration domain and replay every read
+ *                of the pattern through the same mapping: the
+ *                uninitialized-read guard, the verify comparison and
+ *                bank-conflict accounting in one pass, with no division
+ *                per read (see the layout comment below).
+ *   ltb_scan   - the whole per-N LTB candidate search: lexicographic
+ *                odometer enumeration, residue check with Python modulo
+ *                semantics, first-duplicate detection, and the
+ *                comparison-charge tally the OpCounter model requires.
  *
  * Bit-identity with the scalar engines is the contract; the engine test
  * matrix and the repro.verify differential oracles enforce it.  Two
- * semantic traps are handled explicitly: C's `%` truncates toward zero
+ * semantic rules are handled explicitly: C's `%` truncates toward zero
  * while Python floors (pattern deltas and transform values can be
- * negative), and the hybrid path reports a missing read anywhere in a
- * chunk before a corruption earlier in it, so sweep does too.
+ * negative), and sweep reports errors by chunks of `chunk` iterations, a
+ * missing read anywhere in a chunk before a corruption earlier in it, so
+ * the error is the same whether the caller passes the domain in one call
+ * or chunk by chunk.
+ *
+ * sweep and ltb_scan start on 64-byte boundaries, so an edit outside them
+ * (and outside the helpers they inline) cannot move their loops across
+ * fetch windows.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -145,7 +148,7 @@ enum { KIND_LINEAR = 0, KIND_CYCLIC = 1, KIND_BLOCK = 2 };
 enum { SCHEME_DIRECT = 0, SCHEME_TWO_LEVEL = 1, SCHEME_WIDE = 2 };
 
 /* Status codes of load_banks and sweep (the Python wrapper turns them into
- * the same SimulationError messages the hybrid path raises). */
+ * the scalar engine's SimulationError messages). */
 enum {
     SWEEP_OK = 0,
     SWEEP_MISSING = 1,     /* a read of a slot the load never wrote */
@@ -662,7 +665,7 @@ key_fill(const Layout *lay, const Part *reads, Py_ssize_t m, int64_t key,
     }
 }
 
-static PyObject *
+static __attribute__((aligned(64))) PyObject *
 sweep(PyObject *self, PyObject *args)
 {
     Py_ssize_t fields[9];
@@ -829,8 +832,7 @@ sweep(PyObject *self, PyObject *args)
                           : addresses[j];
                 if ((uint64_t)address >= slots || !seen[address]) {
                     /* A missing read outranks a corruption found earlier
-                     * in its chunk: the hybrid path checks every read of
-                     * a chunk before any value. */
+                     * in its chunk (see the file comment). */
                     status = (uint64_t)address >= slots ? SWEEP_BAD_ADDRESS
                                                         : SWEEP_MISSING;
                     err_iter = i;
@@ -903,81 +905,6 @@ done:
     claims_free(&claims);
     walk_free(&walk);
     layout_free(&lay);
-    release_held(&held);
-    return result;
-}
-
-/* --------------------------------------------------------- conflict_stats */
-
-static PyObject *
-conflict_stats(PyObject *self, PyObject *args)
-{
-    PyObject *banks_o, *hist_o, *conf_o, *acc_o, *cycles_o;
-    Py_ssize_t count, m, n_banks, ports;
-
-    if (!PyArg_ParseTuple(args, "OnnnnOOOO:conflict_stats", &banks_o, &count,
-                          &m, &n_banks, &ports, &hist_o, &conf_o, &acc_o,
-                          &cycles_o))
-        return NULL;
-    if (count < 0 || m < 1 || n_banks < 1 || ports < 1) {
-        PyErr_SetString(PyExc_ValueError,
-                        "conflict_stats: count/m/n_banks/ports out of range");
-        return NULL;
-    }
-
-    I64Buf banks = {0}, hist = {0}, conf = {0}, acc = {0}, cycles = {0};
-    Held held = {0};
-    Claims claims = {0};
-    PyObject *result = NULL;
-
-    if (get_i64(&held, banks_o, &banks, 0, count * m, "banks") < 0 ||
-        get_i64(&held, hist_o, &hist, 1, -1, "hist") < 0 ||
-        get_i64(&held, conf_o, &conf, 1, n_banks, "conf") < 0 ||
-        get_i64(&held, acc_o, &acc, 1, n_banks, "acc") < 0 ||
-        get_i64(&held, cycles_o, &cycles, 1, -1, "cycles_out") < 0 ||
-        claims_init(&claims, m, ports, n_banks, acc.data, conf.data) < 0)
-        goto done;
-    if (cycles.data != NULL && cycles.len != count) {
-        PyErr_SetString(PyExc_ValueError, "conflict_stats: cycles_out size");
-        goto done;
-    }
-    if (hist.len <= claims.cycles_of[m]) {
-        PyErr_SetString(PyExc_ValueError, "conflict_stats: hist too small");
-        goto done;
-    }
-
-    int status = SWEEP_OK;
-    int64_t err_index = -1;
-    int64_t total_cycles = 0;
-    int64_t worst = 0;
-
-    Py_BEGIN_ALLOW_THREADS
-    for (Py_ssize_t i = 0; i < count && status == SWEEP_OK; i++) {
-        const int64_t *row = banks.data + i * m;
-        for (Py_ssize_t j = 0; j < m; j++) {
-            if (row[j] < 0 || row[j] >= n_banks) {
-                status = SWEEP_BAD_ADDRESS;
-                err_index = i * m + j;
-                break;
-            }
-        }
-        if (status != SWEEP_OK)
-            break;
-        int64_t iter_cycles = charge(&claims, row, 1);
-        hist.data[iter_cycles]++;
-        total_cycles += iter_cycles;
-        if (iter_cycles > worst)
-            worst = iter_cycles;
-        if (cycles.data != NULL)
-            cycles.data[i] = iter_cycles;
-    }
-    Py_END_ALLOW_THREADS
-
-    result = Py_BuildValue("iLLL", status, (long long)err_index,
-                           (long long)total_cycles, (long long)worst);
-
-done:
-    claims_free(&claims);
     release_held(&held);
     return result;
 }
@@ -1114,7 +1041,7 @@ ltb_search_buffered(const int64_t *reduced, Py_ssize_t m, Py_ssize_t n,
     return found;
 }
 
-static PyObject *
+static __attribute__((aligned(64))) PyObject *
 ltb_scan(PyObject *self, PyObject *args)
 {
     PyObject *deltas_o, *alpha_o;
@@ -1187,8 +1114,6 @@ static PyMethodDef native_methods[] = {
      "Scatter an array into flat bank storage through a native spec."},
     {"sweep", sweep, METH_VARARGS,
      "Replay a strided sweep's reads with guards and conflict accounting."},
-    {"conflict_stats", conflict_stats, METH_VARARGS,
-     "Bank-conflict accounting over a precomputed (count, m) bank matrix."},
     {"ltb_scan", ltb_scan, METH_VARARGS,
      "Exhaustive per-N LTB transform-vector search (lexicographic first hit)."},
     {NULL, NULL, 0, NULL},

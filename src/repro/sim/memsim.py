@@ -131,37 +131,20 @@ class SimulationReport:
         )
 
 
-def _bulk_capable(mapping: BankMapping) -> bool:
-    """Whether the native engine's batch math is valid for this mapping.
-
-    The native engine recomputes ``B(x)``/``F(x)`` from the mapping's
-    *formulas*, so a subclass that overrides the scalar address methods
-    (tests use exactly this to inject corruption) would silently diverge.
-    Eligible are the stock mapping types plus any type with a registered
-    bulk kernel (:func:`repro.core.vectorized.register_bulk_kernel` — the
-    baseline cyclic/block mappings register theirs at import).  Kernel
-    lookup is by exact type, so subclasses of registered types also fall
-    back to the scalar reference.
-    """
-    from ..core.packed import PackedBankMapping
-    from ..core.vectorized import has_bulk_kernel
-
-    return type(mapping) in (BankMapping, PackedBankMapping) or has_bulk_kernel(
-        type(mapping)
-    )
-
-
 def resolve_engine(mapping: BankMapping, engine: str = "auto") -> str:
     """Concrete engine ``simulate_sweep`` will run for this mapping.
 
     ``"auto"`` selects ``native`` when the compiled extension (built on
-    first use) loads and the mapping is eligible, else ``scalar``.  The
-    native kernels and its hybrid bulk path recompute addresses from the
-    mapping's *formulas*, so a subclass that overrides the scalar address
-    methods must fall back to scalar.
+    first use) loads and the mapping's *exact type* has a registered native
+    spec (:func:`repro.native.register_native_spec`: the stock
+    ``BankMapping`` and the cyclic/block baselines), else ``scalar``.  The
+    native kernels recompute addresses from the spec, not from the
+    mapping's methods, so a subclass that overrides the scalar address
+    methods (tests inject corruption exactly this way) and a type without
+    a spec, such as ``PackedBankMapping``, run the scalar reference.
 
     Forcing an ineligible engine raises: :class:`SimulationError` for a
-    formula-overriding subclass, :class:`~repro.errors.NativeUnavailableError`
+    type without a spec, :class:`~repro.errors.NativeUnavailableError`
     for ``engine="native"`` without a usable extension.  ``"auto"`` never
     raises — missing native degrades silently to the scalar reference.
     """
@@ -171,17 +154,18 @@ def resolve_engine(mapping: BankMapping, engine: str = "auto") -> str:
         raise SimulationError(
             f"unknown simulation engine {engine!r}; choose one of {ENGINES}"
         )
-    bulk_capable = _bulk_capable(mapping)
+    has_spec = native.has_native_spec(type(mapping))
     if engine == "auto":
-        return "native" if bulk_capable and native.available() else "scalar"
+        return "native" if has_spec and native.available() else "scalar"
     if engine == "native":
-        if not bulk_capable:
+        if not has_spec:
             raise SimulationError(
                 f"engine={engine!r} supports stock BankMapping types and "
-                f"types with a registered bulk kernel only; "
-                f"{type(mapping).__name__} overrides scalar address methods "
-                "the bulk path cannot honor — use engine='scalar' (or "
-                "register_bulk_kernel for the type)"
+                f"types with a registered native spec only; "
+                f"{type(mapping).__name__} has none, and a subclass may "
+                "override scalar address methods the native kernels cannot "
+                "honor — use engine='scalar' (or register_native_spec for "
+                "the type)"
             )
         native.require()  # NativeUnavailableError when it cannot load
     return engine
@@ -317,8 +301,8 @@ def simulate_sweep(
         mapping — the compiled ``native`` tier when the extension loads
         (:mod:`repro.native`, built on first use), else the scalar
         reference; ``"scalar"``/``"native"`` force an engine.  Both produce
-        bit-identical reports.  Forcing ``"native"`` on a mapping subclass
-        with overridden address methods is an error, and forcing it without
+        bit-identical reports.  Forcing ``"native"`` on a mapping type
+        without a registered native spec is an error, and forcing it without
         the extension raises :class:`~repro.errors.NativeUnavailableError`
         (see :func:`resolve_engine`).
     """

@@ -37,19 +37,18 @@ injective but disagrees with the mapping's formulas; the engine matrix and
 the ``repro.verify`` differential oracles catch that.
 
 Without attribution the sweep is one call over the whole domain.  With it,
-the domain goes in chunks of about :func:`~repro.core.vectorized.chunk_budget`
-reads, whose banks and cycles feed the conflict table.  Either way a
-missing read outranks a corruption found earlier in the same chunk, as on
-the hybrid path.
+the domain goes in chunks of about ``DEFAULT_CHUNK_ELEMENTS``
+(:mod:`repro.core.vectorized`) reads, whose banks and cycles feed the
+conflict table.  The kernel reports errors by the same chunks either way:
+a missing read anywhere in a chunk outranks a corruption found earlier in
+it, and a corruption outranks any error in a later chunk, so the error a
+sweep raises does not depend on attribution.
 
-Bulk-capable mappings *without* a spec (``PackedBankMapping``, any type
-registered only via :func:`repro.core.vectorized.register_bulk_kernel`)
-take the **hybrid** path: NumPy loads the banks and computes each chunk's
-addresses with the registered bulk kernel, and only the conflict
-accounting (``conflict_stats``) runs in C.
-
-Both paths produce the :class:`~repro.sim.memsim.SweepStats` of the scalar
-reference, bit for bit and with the same error messages.
+Mapping types without a spec (``PackedBankMapping``, formula-overriding
+subclasses) run the scalar reference instead; see
+:func:`repro.sim.memsim.resolve_engine`.  Reports equal the scalar
+reference's :class:`~repro.sim.memsim.SweepStats`, bit for bit and with
+the same error messages.
 """
 
 from __future__ import annotations
@@ -58,14 +57,9 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..core import vectorized
 from ..core.mapping import BankMapping
 from ..core.pattern import Pattern
-from ..core.vectorized import (
-    bulk_addresses,
-    chunk_budget,
-    grid_size,
-    iter_element_chunks,
-)
 from ..errors import SimulationError
 from ..native import native_spec_for, require
 from ..obs.conflicts import ConflictTable
@@ -102,43 +96,13 @@ def _check_array_shape(mapping: BankMapping, data: "np.ndarray") -> None:
         )
 
 
-def _loaded_storage(
-    mapping: BankMapping,
-    array: "np.ndarray",
-    bases: "np.ndarray",
-    sizes: "np.ndarray",
-    chunk: int | None,
-) -> Tuple["np.ndarray", "np.ndarray"]:
-    """Scatter the array into flat bank storage; return (values, written)."""
-    data = np.asarray(array)
-    _check_array_shape(mapping, data)
-    flat = data.reshape(-1)
-    total_slots = int(bases[-1] + sizes[-1]) if len(sizes) else 0
-    storage = np.zeros(total_slots, dtype=np.int64)
-    written = np.zeros(total_slots, dtype=bool)
-    for start, elements in iter_element_chunks(mapping.shape, chunk):
-        banks, offsets = bulk_addresses(mapping, elements)
-        if (offsets < 0).any() or (offsets >= sizes[banks]).any():
-            bad = int(np.nonzero((offsets < 0) | (offsets >= sizes[banks]))[0][0])
-            raise SimulationError(
-                f"offset {int(offsets[bad])} out of range for bank "
-                f"{int(banks[bad])} of size {int(sizes[banks[bad]])}"
-            )
-        addresses = bases[banks] + offsets
-        # Row-major element order + NumPy's last-write-wins fancy assignment
-        # reproduce the scalar load exactly, collisions included.
-        storage[addresses] = flat[start : start + len(elements)].astype(np.int64)
-        written[addresses] = True
-    return storage, written
-
-
 def _sweep_domain(
     mapping: BankMapping, step: int, limit: int | None
 ) -> Tuple[List[range], Tuple[int, ...], int]:
     """The sweep's loop ranges, their lengths, and the iterations to run."""
     ranges = domain_ranges(mapping.solution.pattern, mapping.shape, step)
     lens = tuple(len(r) for r in ranges)
-    total = grid_size(lens)
+    total = vectorized.grid_size(lens)
     if limit is not None:
         total = min(total, limit)
     if total < 1:
@@ -149,7 +113,7 @@ def _sweep_domain(
 def _origin_deltas(pattern: Pattern) -> "np.ndarray":
     """The pattern's offsets less its minimum corner ``mins``, as (m, n).
 
-    Both paths take loop offsets plus ``mins`` and pattern offsets less
+    The kernels take loop offsets plus ``mins`` and pattern offsets less
     it.  Every element ``s + d`` stays the same and every coordinate lies
     in ``[0, shape)``, so a pattern translated far beyond int64 still fits.
     """
@@ -158,19 +122,6 @@ def _origin_deltas(pattern: Pattern) -> "np.ndarray":
         [[c - lo for c, lo in zip(offset, low)] for offset in pattern.offsets],
         dtype=np.int64,
     )
-
-
-def _iteration_block(
-    ranges: Sequence[range], lens: Tuple[int, ...], lo: int, hi: int
-) -> "np.ndarray":
-    """Loop offsets for row-major strided-domain indices ``lo … hi - 1``,
-    relative to the origin (the domain starts at ``-mins``)."""
-    linear = np.arange(lo, hi, dtype=np.int64)
-    coords = np.unravel_index(linear, lens)
-    block = np.empty((hi - lo, len(lens)), dtype=np.int64)
-    for dim, rng in enumerate(ranges):
-        block[:, dim] = coords[dim] * rng.step
-    return block
 
 
 def _raise_corruption(
@@ -265,21 +216,20 @@ def simulate_sweep_native(
     ports_per_bank: int = 1,
     verify: bool = True,
     attribution: Optional[ConflictTable] = None,
-    chunk: int | None = None,
 ) -> SweepStats:
     """Run the full sweep measurement through the compiled kernels.
 
     The caller (``simulate_sweep``) owns engine resolution — including the
     :class:`~repro.errors.NativeUnavailableError` raised when the extension
-    is absent — and shared parameter validation, exactly as for the scalar
-    engine.
+    is absent and the :class:`SimulationError` for a mapping without a
+    native spec — and shared parameter validation, exactly as for the
+    scalar engine.
     """
     compiled = require()
     spec = native_spec_for(mapping)
     if spec is None:
-        return _simulate_hybrid(
-            compiled, mapping, array, step, limit, ports_per_bank, verify,
-            attribution, chunk,
+        raise SimulationError(
+            f"{type(mapping).__name__} has no registered native spec"
         )
     solution = mapping.solution
     pattern = solution.pattern
@@ -292,7 +242,7 @@ def simulate_sweep_native(
 
     with span("sim.load_array"):
         if array is None:
-            flat = np.arange(grid_size(shape), dtype=np.int64)
+            flat = np.arange(vectorized.grid_size(shape), dtype=np.int64)
         else:
             data = np.asarray(array)
             _check_array_shape(mapping, data)
@@ -319,7 +269,7 @@ def simulate_sweep_native(
         lens_arr = np.array(lens, dtype=np.int64)
 
     # Chunks bound the attribution buffers and set error precedence.
-    iter_chunk = max(1, chunk_budget(chunk) // max(m, n_banks))
+    iter_chunk = max(1, vectorized.DEFAULT_CHUNK_ELEMENTS // max(m, n_banks))
     # Ports beyond m change no cycle count; clamping keeps them in int64.
     arith_ports = min(ports, m)
     hist_acc = np.zeros(-(-m // arith_ports) + 1, dtype=np.int64)
@@ -360,93 +310,6 @@ def simulate_sweep_native(
                     banks_out.reshape(count, m).tolist(), cycles_out.tolist()
                 ):
                     attribution.record_iteration(pattern.offsets, banks, cycles)
-
-    return _sweep_stats(
-        mapping, total_iterations, total, worst, hist_acc, occupancy, sizes,
-        ports, conflict_totals, access_totals,
-    )
-
-
-def _simulate_hybrid(
-    compiled: Any,
-    mapping: BankMapping,
-    array: "np.ndarray" | None,
-    step: int,
-    limit: int | None,
-    ports_per_bank: int,
-    verify: bool,
-    attribution: Optional[ConflictTable],
-    chunk: int | None,
-) -> SweepStats:
-    """NumPy loads and bulk addresses, C conflict accounting."""
-    solution = mapping.solution
-    pattern = solution.pattern
-    ports = max(ports_per_bank, solution.bank_ports)
-    n_banks = mapping.n_banks
-    m = pattern.size
-    shape = mapping.shape
-    sizes, bases = _bank_layout(mapping)
-
-    with span("sim.load_array"):
-        if array is None:
-            array = np.arange(grid_size(shape), dtype=np.int64).reshape(shape)
-        storage, written = _loaded_storage(mapping, array, bases, sizes, chunk)
-        occupancy = np.add.reduceat(written, bases)
-        flat_array = np.asarray(array).reshape(-1)
-
-    with span("sim.trace_build"):
-        ranges, lens, total_iterations = _sweep_domain(mapping, step, limit)
-        deltas = _origin_deltas(pattern)
-
-    iter_chunk = max(1, chunk_budget(chunk) // max(m, n_banks))
-    arith_ports = min(ports, m)
-    hist_acc = np.zeros(-(-m // arith_ports) + 1, dtype=np.int64)
-    conflict_totals = np.zeros(n_banks, dtype=np.int64)
-    access_totals = np.zeros(n_banks, dtype=np.int64)
-    total = 0
-    worst = 0
-
-    with span("sim.sweep_loop", iterations=total_iterations, verify=verify):
-        for lo in range(0, total_iterations, iter_chunk):
-            hi = min(lo + iter_chunk, total_iterations)
-            block = _iteration_block(ranges, lens, lo, hi)
-            count = hi - lo
-            elements = (block[:, None, :] + deltas[None, :, :]).reshape(-1, len(lens))
-            banks, offsets = bulk_addresses(mapping, elements)
-            addresses = bases[banks] + offsets
-
-            missing = ~written[addresses]
-            if missing.any():
-                _raise_missing(elements[int(np.nonzero(missing)[0][0])])
-            if verify:
-                values = storage[addresses].reshape(count, m)
-                linear = np.ravel_multi_index(tuple(elements.T), shape)
-                expected = flat_array[linear].astype(np.int64).reshape(count, m)
-                mismatch = values != expected
-                if mismatch.any():
-                    row = int(np.nonzero(mismatch.any(axis=1))[0][0])
-                    _raise_corruption(ranges, block[row], values[row], expected[row])
-
-            banks_c = np.ascontiguousarray(banks, dtype=np.int64)
-            cycles_out = (
-                np.empty(count, dtype=np.int64) if attribution is not None else None
-            )
-            status, err_index, chunk_total, chunk_worst = compiled.conflict_stats(
-                banks_c, count, m, n_banks, arith_ports, hist_acc,
-                conflict_totals, access_totals, cycles_out,
-            )
-            if status != _STATUS_OK:  # pragma: no cover - defensive
-                raise SimulationError(
-                    f"bulk kernel produced bank index out of range at "
-                    f"chunk read index {err_index}"
-                )
-            total += int(chunk_total)
-            worst = max(worst, int(chunk_worst))
-            if attribution is not None:
-                for banks_row, cycles in zip(
-                    banks_c.reshape(count, m).tolist(), cycles_out.tolist()
-                ):
-                    attribution.record_iteration(pattern.offsets, banks_row, cycles)
 
     return _sweep_stats(
         mapping, total_iterations, total, worst, hist_acc, occupancy, sizes,

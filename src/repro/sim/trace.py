@@ -32,10 +32,10 @@ def domain_ranges(
     """Per-dimension loop ranges keeping the whole pattern inside the array.
 
     The validated building block shared by the scalar trace generator and
-    the bulk simulators: all must agree exactly on the iteration domain,
-    so all derive it from this one function.  A ``step`` longer than an
+    the native simulator: both must agree exactly on the iteration domain,
+    so both derive it from this one function.  A ``step`` longer than an
     axis's span is clamped to the span, which visits the same single
-    offset and keeps the step within int64 for the bulk engines.
+    offset and keeps the step within int64 for the native engine.
     """
     if step < 1:
         raise SimulationError(f"step must be positive, got {step}")

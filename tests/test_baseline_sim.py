@@ -1,4 +1,4 @@
-"""Baseline scheme mappings and their registered bulk simulation kernels.
+"""Baseline scheme mappings and their registered native specs.
 
 Covers the cyclic/block :class:`~repro.core.mapping.BankMapping` subclasses
 (:mod:`repro.baselines.mapping`): address correctness against the scalar
@@ -20,11 +20,7 @@ from repro.baselines import (
     block_mapping,
     cyclic_mapping,
 )
-from repro.core.vectorized import (
-    has_bulk_kernel,
-    verify_bijective_bulk,
-    verify_bulk_matches_scalar,
-)
+from repro import native
 from repro.errors import SimulationError
 from repro.patterns.generators import rectangle
 from repro.sim.memsim import simulate_sweep
@@ -50,12 +46,8 @@ def baseline_mapping(request):
 
 
 class TestAddressing:
-    def test_bulk_matches_scalar(self, baseline_mapping):
-        assert verify_bulk_matches_scalar(baseline_mapping, sample=4096)
-
     def test_bijective(self, baseline_mapping):
         assert baseline_mapping.verify_bijective()
-        assert verify_bijective_bulk(baseline_mapping)
 
     def test_overhead_matches_scheme_closed_form(self):
         shape = (10, 7)
@@ -105,12 +97,12 @@ class TestSimulation:
         assert report.measured_delta_ii == mapping.solution.delta_ii
 
     def test_fast_path_never_calls_scalar_methods(self, monkeypatch, fast_engine):
-        # The registered kernel (or fused native spec), not the per-element
-        # methods, must produce every address (even with verify=True).
+        # The registered native spec, not the per-element methods, must
+        # produce every address (even with verify=True).
         mapping = _cyclic()
 
         def boom(self, element, ops=None):  # pragma: no cover - must not run
-            raise AssertionError("scalar address method called on bulk path")
+            raise AssertionError("scalar address method called on native path")
 
         monkeypatch.setattr(CyclicBankMapping, "bank_of", boom)
         monkeypatch.setattr(CyclicBankMapping, "offset_of", boom)
@@ -120,22 +112,21 @@ class TestSimulation:
 
 class TestDispatch:
     def test_kernels_registered(self):
-        assert has_bulk_kernel(CyclicBankMapping)
-        assert has_bulk_kernel(BlockBankMapping)
+        assert native.has_native_spec(CyclicBankMapping)
+        assert native.has_native_spec(BlockBankMapping)
 
     def test_subclass_falls_back_to_scalar(self, fast_engine):
-        # Kernel lookup is by exact type: a subclass that might override
-        # the scalar address methods must not inherit the bulk kernel (nor
-        # the native spec).
+        # Spec lookup is by exact type: a subclass that might override the
+        # scalar address methods must not inherit the native spec.
         class TweakedCyclic(CyclicBankMapping):
             pass
 
-        assert not has_bulk_kernel(TweakedCyclic)
+        assert not native.has_native_spec(TweakedCyclic)
         base = _cyclic()
         tweaked = TweakedCyclic(
             solution=base.solution, shape=base.shape, dim=base.dim
         )
         report = simulate_sweep(tweaked, engine="auto")
         assert report == simulate_sweep(base, engine="scalar")
-        with pytest.raises(SimulationError, match="registered bulk kernel"):
+        with pytest.raises(SimulationError, match="registered native spec"):
             simulate_sweep(tweaked, engine=fast_engine)

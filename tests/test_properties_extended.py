@@ -1,8 +1,8 @@
 """Extended property-based tests covering the newer subsystems.
 
-Hypothesis drives the packed mapping, the wide-bank fold, serialization,
-and the vectorized fast path with random patterns and shapes, asserting
-each stays consistent with the reference scalar implementations.
+Hypothesis drives the packed mapping, the wide-bank fold and
+serialization with random patterns and shapes, asserting each stays
+consistent with the reference scalar implementations.
 """
 
 from __future__ import annotations
@@ -16,11 +16,6 @@ from repro.core import (
     packed_mapping,
     partition,
     widen_solution,
-)
-from repro.core.vectorized import (
-    element_grid,
-    verify_bijective_bulk,
-    verify_bulk_matches_scalar,
 )
 from repro.io import solution_from_dict, solution_to_dict
 
@@ -100,28 +95,12 @@ def test_solution_roundtrip_any_pattern(pattern, constrain):
         assert restored.bank_of(delta) == original.bank_of(delta)
 
 
-# -- vectorized path -----------------------------------------------------------------
+# -- stock mapping ---------------------------------------------------------------
 
 
 @given(mapping_cases())
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_bulk_path_matches_scalar_everywhere(case):
+def test_mapping_bijective_everywhere(case):
     pattern, shape = case
     mapping = BankMapping(solution=partition(pattern), shape=shape)
-    assert verify_bulk_matches_scalar(mapping, sample=10_000)
-    assert verify_bijective_bulk(mapping)
-
-
-@given(mapping_cases())
-@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_bulk_path_matches_scalar_packed(case):
-    pattern, shape = case
-    mapping = packed_mapping(partition(pattern), shape)
-    assert verify_bulk_matches_scalar(mapping, sample=10_000)
-
-
-@given(st.tuples(st.integers(1, 5), st.integers(1, 5)))
-def test_element_grid_is_complete(shape):
-    grid = element_grid(shape)
-    assert len(grid) == shape[0] * shape[1]
-    assert len({tuple(row) for row in grid}) == len(grid)
+    assert mapping.verify_bijective()

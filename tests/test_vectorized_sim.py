@@ -12,8 +12,8 @@ visible reason where the extension cannot be built:
   charges.
 * Disabled-telemetry overhead — no span allocations and zero per-element
   Python mapping calls on the native path.
-* Bounded-chunk guards — correctness under tiny chunk budgets and the
-  ``element_grid`` materialization cap.
+* Bounded chunks — correctness under tiny chunk budgets.
+* Load occupancy — a whole frame's load fills exactly its elements' slots.
 """
 
 from __future__ import annotations
@@ -29,21 +29,19 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import native
-from repro.core import BankMapping, Pattern, partition, same_size_sweep
+from repro.core import (
+    BankMapping,
+    LinearTransform,
+    PartitionSolution,
+    Pattern,
+    partition,
+    same_size_sweep,
+    widen_solution,
+)
 from repro.core.opcount import OpCounter
 from repro.core.packed import PackedBankMapping
 from repro.core.solver import solve
-from repro.core.vectorized import (
-    DEFAULT_CHUNK_ELEMENTS,
-    bulk_bank_of,
-    bulk_offset_of,
-    chunk_budget,
-    element_grid,
-    grid_size,
-    iter_element_chunks,
-    register_bulk_kernel,
-)
-from repro.errors import MappingError, SimulationError
+from repro.errors import SimulationError
 import importlib
 
 # ``repro.obs`` re-exports a ``tracer`` *function*, shadowing the submodule
@@ -51,7 +49,7 @@ import importlib
 tracer_mod = importlib.import_module("repro.obs.tracer")
 _vectorized = importlib.import_module("repro.core.vectorized")
 from repro.obs.conflicts import ConflictTable
-from repro.patterns import log_pattern, se_pattern
+from repro.patterns import log_pattern, se_pattern, sobel3d_pattern
 from repro.patterns.generators import rectangle
 from repro.sim import simulate_sweep
 from repro.serve.protocol import SIM_ENGINES
@@ -82,15 +80,10 @@ class ShortBanksMapping(BankMapping):
         return super().bank_size(bank) - 1
 
 
-def _stock_bulk_kernel(mapping, elements):
-    return bulk_bank_of(mapping, elements), bulk_offset_of(mapping, elements)
-
-
 # Both faulty types share one formula across the scalar address methods
-# (through the overridden geometry), the bulk kernel and the native spec,
-# so every engine runs them and must fail the same way.
+# (through the overridden geometry) and the native spec, so every engine
+# runs them and must fail the same way.
 for _faulty in (ShortRowsMapping, ShortBanksMapping):
-    register_bulk_kernel(_faulty, _stock_bulk_kernel)
     native.register_native_spec(_faulty, native._linear_spec)
 
 
@@ -107,7 +100,7 @@ class TestEngineEquivalence:
             {"limit": 7},
             {"verify": False},
             {"step": 3, "ports_per_bank": 3},
-            # Boundary integers: beyond int64, the bulk engines clamp
+            # Boundary integers: beyond int64, the native engine clamps
             # before any int64 arithmetic.
             {"step": 2**62},
             {"step": 2**63},
@@ -129,11 +122,11 @@ class TestEngineEquivalence:
         ids=["int64-wrap", "2^62", "2^70", "-2^70"],
     )
     def test_far_translated_pattern_matches_scalar(self, shift, fast_engine):
-        # The bulk engines take offsets relative to the array's origin.  With
-        # alpha_0 = 5, 5 * (2**63 // 5 - 2 + d) leaves int64 for some of the
-        # pattern's d while the loop start's product does not, so a kernel
-        # multiplying alpha by raw offsets reads the wrong slots; offsets past
-        # int64 must not overflow either.
+        # The native kernels take offsets relative to the array's origin.
+        # With alpha_0 = 5, 5 * (2**63 // 5 - 2 + d) leaves int64 for some of
+        # the pattern's d while the loop start's product does not, so a
+        # kernel multiplying alpha by raw offsets reads the wrong slots;
+        # offsets past int64 must not overflow either.
         pattern = log_pattern().translated(shift)
         mapping = BankMapping(solution=partition(pattern), shape=(16, 16))
         assert mapping.solution.transform.alpha == (5, 1)
@@ -173,13 +166,29 @@ class TestEngineEquivalence:
         assert scalar == fast
         assert fast.measured_delta_ii > 0  # a constrained run has conflicts
 
-    def test_packed_mapping_supported(self, fast_engine):
-        # PackedBankMapping has no fused native spec; the native engine
-        # covers it through the hybrid bulk-kernel path.
-        mapping = PackedBankMapping(solution=partition(se_pattern()), shape=(9, 13))
-        assert simulate_sweep(mapping, engine="scalar") == simulate_sweep(
-            mapping, engine=fast_engine
+    @pytest.mark.parametrize(
+        "solution, shape",
+        [
+            (lambda: partition(log_pattern(), n_max=10, same_size=False), (8, 20)),
+            (lambda: widen_solution(partition(log_pattern()), 2), (8, 20)),
+            (lambda: partition(sobel3d_pattern()), (4, 5, 29)),
+        ],
+        ids=["two-level", "wide", "3d"],
+    )
+    def test_scheme_matches_scalar(self, solution, shape, fast_engine):
+        mapping = BankMapping(solution=solution(), shape=shape)
+        assert simulate_sweep(mapping, engine=fast_engine) == simulate_sweep(
+            mapping, engine="scalar"
         )
+
+    def test_packed_mapping_supported(self, fast_engine):
+        # PackedBankMapping has no native spec: auto runs it on the scalar
+        # reference, and forcing the fast engine is an error.
+        mapping = PackedBankMapping(solution=partition(se_pattern()), shape=(9, 13))
+        assert resolve_engine(mapping) == "scalar"
+        assert simulate_sweep(mapping) == simulate_sweep(mapping, engine="scalar")
+        with pytest.raises(SimulationError, match="registered native spec"):
+            simulate_sweep(mapping, engine=fast_engine)
 
     def test_explicit_array_and_roundtrip(self, fast_engine):
         import json
@@ -221,7 +230,7 @@ class TestEngineEquivalence:
 
 
 class TestSubclassDispatch:
-    """Mappings that override scalar address methods must not be bulk-run."""
+    """Mappings that override scalar address methods must not run native."""
 
     def _lying_mapping(self):
         class LyingMapping(BankMapping):
@@ -265,6 +274,12 @@ class TestEngineErrorPaths:
     def test_bad_ports(self, sim_engine):
         with pytest.raises(SimulationError, match="ports_per_bank"):
             simulate_sweep(mapping_for(), ports_per_bank=0, engine=sim_engine)
+
+    def test_array_shape_mismatch(self, sim_engine):
+        expected = "array shape (3, 3) does not match mapping shape (12, 14)"
+        with pytest.raises(SimulationError) as info:
+            simulate_sweep(mapping_for(), array=np.zeros((3, 3)), engine=sim_engine)
+        assert str(info.value) == expected
 
     def test_conflict_table_port_mismatch(self, sim_engine):
         table = ConflictTable(3)
@@ -447,38 +462,36 @@ class TestDisabledTelemetryOverhead:
 
 
 class TestChunkGuards:
-    def test_chunk_budget_resolution(self):
-        assert chunk_budget() == DEFAULT_CHUNK_ELEMENTS
-        assert chunk_budget(17) == 17
-        with pytest.raises(MappingError):
-            chunk_budget(0)
-
-    def test_iter_element_chunks_covers_grid(self):
-        shape = (7, 11)
-        blocks = list(iter_element_chunks(shape, chunk=13))
-        assert blocks[0][0] == 0
-        assert all(len(block) <= 13 for _, block in blocks)
-        joined = np.concatenate([block for _, block in blocks])
-        assert np.array_equal(joined, element_grid(shape))
-        assert len(joined) == grid_size(shape)
-
     def test_simulation_identical_under_tiny_chunks(self, monkeypatch, fast_engine):
-        """A grid far beyond the chunk budget still simulates exactly."""
-        mapping = mapping_for(log_pattern(), shape=(20, 21), n_max=5)
-        baseline = simulate_sweep(mapping, engine=fast_engine)
-        # 64-element chunks against a 420-element grid
-        monkeypatch.setattr(_vectorized, "DEFAULT_CHUNK_ELEMENTS", 64)
-        chunked = simulate_sweep(mapping, engine=fast_engine)
-        assert chunked == baseline
-        assert chunked == simulate_sweep(mapping, engine="scalar")
+        """A domain far beyond the chunk budget still simulates exactly.
 
-    def test_element_grid_cap_raises_with_guidance(self, monkeypatch):
-        monkeypatch.setattr(_vectorized, "DEFAULT_MAX_GRID_ELEMENTS", 100)
-        with pytest.raises(MappingError, match="iter_element_chunks"):
-            element_grid((20, 20))
-        # The streaming path is the documented way out — and still works.
-        total = sum(len(block) for _, block in iter_element_chunks((20, 20), 64))
-        assert total == 400
+        Attribution makes the native path walk the domain chunk by chunk,
+        one kernel call each; the patched budget must reach it.
+        """
+        mapping = mapping_for(log_pattern(), shape=(20, 21), n_max=5)
+        ports = mapping.solution.bank_ports
+        tables = [ConflictTable(ports) for _ in range(3)]
+        baseline = simulate_sweep(mapping, engine=fast_engine, conflicts=tables[0])
+        compiled = native.require()
+        calls = []
+        sweep = compiled.sweep
+
+        def counting_sweep(*args):
+            calls.append(args)
+            return sweep(*args)
+
+        monkeypatch.setattr(compiled, "sweep", counting_sweep)
+        # 64-element chunks: 4 iterations of LoG's 13 reads per call
+        monkeypatch.setattr(_vectorized, "DEFAULT_CHUNK_ELEMENTS", 64)
+        chunked = simulate_sweep(mapping, engine=fast_engine, conflicts=tables[1])
+        assert len(calls) > 1
+        assert chunked == baseline
+        assert chunked == simulate_sweep(
+            mapping, engine="scalar", conflicts=tables[2]
+        )
+        for table in tables[1:]:
+            assert table.cycle_histogram == tables[0].cycle_histogram
+            assert table.observed_bank_conflicts == tables[0].observed_bank_conflicts
 
     def test_sweep_vectorized_respects_chunk_budget(self, monkeypatch):
         monkeypatch.setattr(_vectorized, "DEFAULT_CHUNK_ELEMENTS", 8)
@@ -503,3 +516,39 @@ class TestChunkGuards:
         scalar = same_size_sweep(log_pattern(), 4000, ops=scalar_ops, engine="scalar")
         assert vector == scalar
         assert vector_ops.counts == scalar_ops.counts
+
+
+# -- load occupancy --------------------------------------------------------
+
+
+def _occupied_slots(mapping, report) -> int:
+    return sum(
+        round(used * mapping.bank_size(bank))
+        for bank, used in report.bank_utilization.items()
+    )
+
+
+class TestLoadOccupancy:
+    """The native load counts the distinct slots it writes, so a whole
+    frame that fills exactly ``W`` slots has an injective mapping: the
+    full-frame bijectivity check, in milliseconds where the scalar
+    ``verify_bijective()`` takes seconds.
+    """
+
+    def test_bijective_large_frame(self, fast_engine):
+        mapping = mapping_for(shape=(640, 480))
+        report = simulate_sweep(mapping, limit=1, engine=fast_engine)
+        assert _occupied_slots(mapping, report) == 640 * 480
+
+    def test_detects_broken_mapping(self, fast_engine):
+        broken = PartitionSolution(
+            pattern=Pattern([(0, 0)]),
+            transform=LinearTransform(alpha=(0, 0)),
+            n_banks=4,
+            n_unconstrained=4,
+        )
+        mapping = BankMapping(solution=broken, shape=(4, 4))
+        # α = (0, 0) sends every element to bank 0, one slot per row.
+        report = simulate_sweep(mapping, verify=False, engine=fast_engine)
+        assert _occupied_slots(mapping, report) == 4
+        assert report == simulate_sweep(mapping, verify=False, engine="scalar")
