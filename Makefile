@@ -21,7 +21,7 @@ bench:
 	pytest benchmarks/ --benchmark-only
 
 validate:
-	python -m repro.eval.validation --quick
+	python -W error::RuntimeWarning -m repro.eval.validation --quick
 
 table1:
 	python -c "from repro.eval.cli import main_table1; main_table1([])"

@@ -139,11 +139,10 @@ class Pattern:
         """Return a copy mirrored (coordinate-negated) along ``axes``.
 
         Reflection composes with translation: the result is generally not
-        normalized.  Bank mappings are invariant under reflection — negating
-        an axis negates the matching ``α`` component, which permutes the
-        pairwise ``z`` differences by sign and leaves every conflict count
-        unchanged — which is what lets the solve cache quotient reflections
-        away (see :func:`repro.core.cache.canonicalize`).
+        normalized.  A mirrored pattern is a different pattern to the
+        solver: Algorithm 1 derives ``α`` from its own offsets and may need
+        a different bank count, so the solve cache keys it apart (see
+        :func:`repro.core.cache.canonicalize`).
 
         >>> Pattern([(0, 0), (0, 2)]).reflected([1]).normalized().offsets
         ((0, 0), (0, 2))
@@ -165,10 +164,9 @@ class Pattern:
     def permuted(self, perm: Sequence[int]) -> "Pattern":
         """Return a copy with axes reordered: result axis ``k`` = axis ``perm[k]``.
 
-        ``perm`` must be a permutation of ``range(ndim)``.  Note the §4.4
-        intra-bank layout is only shared between permuted variants when the
-        innermost axis stays innermost (``perm[-1] == ndim - 1``); the
-        canonicalizer enforces that restriction, this helper does not.
+        ``perm`` must be a permutation of ``range(ndim)``.  Like a mirrored
+        copy, a permuted copy is a different pattern to the solver and the
+        solve cache.
 
         >>> Pattern([(0, 1), (2, 0)]).permuted([1, 0]).offsets
         ((0, 2), (1, 0))

@@ -1,4 +1,9 @@
-"""Evaluation harnesses regenerating the paper's tables and case study."""
+"""Evaluation harnesses regenerating the paper's tables and case study.
+
+The cross-validation matrix lives in :mod:`repro.eval.validation` and is
+not re-exported here: ``python -m repro.eval.validation`` would otherwise
+import that module twice, once as a package member and once as ``__main__``.
+"""
 
 from .casestudy import CaseStudy, run_case_study
 from .metrics import (
@@ -20,13 +25,6 @@ from .paper_data import (
 )
 from .report import render_case_study, render_table1
 from .table1 import Table1, Table1Row, build_row, build_table
-from .validation import (
-    ValidationCase,
-    ValidationReport,
-    ValidationResult,
-    run_validation,
-    validate_case,
-)
 
 __all__ = [
     "CaseStudy",
@@ -50,9 +48,4 @@ __all__ = [
     "Table1Row",
     "build_row",
     "build_table",
-    "ValidationCase",
-    "ValidationReport",
-    "ValidationResult",
-    "run_validation",
-    "validate_case",
 ]

@@ -60,51 +60,66 @@ class Gauge:
 
 
 class Histogram:
-    """A value distribution summarized as count/sum/p50/p95/max."""
+    """A value distribution summarized as count/sum/p50/p95/max.
 
-    __slots__ = ("_values",)
+    Exact, with memory bounded by the number of *distinct* values rather
+    than observations: one count per value, so ``observe(v, n)`` is O(1)
+    and a server's long-lived histograms stay small when values repeat.
+    """
+
+    __slots__ = ("_counts", "count", "sum")
 
     def __init__(self) -> None:
-        self._values: List[float] = []
+        self._counts: Dict[float, int] = {}
+        self.count = 0
+        self.sum = 0.0
 
     def observe(self, value: float, n: int = 1) -> None:
         """Record ``value`` ``n`` times (``n`` collapses histogram merges)."""
         if n < 1:
             raise ValueError(f"observation multiplicity must be >= 1, got {n}")
-        self._values.extend([float(value)] * n)
-
-    @property
-    def count(self) -> int:
-        return len(self._values)
-
-    @property
-    def sum(self) -> float:
-        return sum(self._values)
+        value = float(value)
+        self._counts[value] = self._counts.get(value, 0) + n
+        self.count += n
+        self.sum += value * n
 
     @property
     def max(self) -> float:
-        return max(self._values) if self._values else 0.0
+        return max(self._counts) if self._counts else 0.0
+
+    def pairs(self) -> List[Tuple[float, int]]:
+        """``(value, count)`` for every distinct value, in ascending order."""
+        return sorted(self._counts.items())
+
+    def _ranked(self, pairs: List[Tuple[float, int]], p: float) -> float:
+        """Nearest-rank percentile over ascending ``pairs``."""
+        if not 0 <= p <= 100:
+            raise ValueError(f"percentile must be in [0, 100], got {p}")
+        if not pairs:
+            return 0.0
+        rank = max(1, -(-self.count * p // 100))  # ceil(n * p / 100)
+        seen = 0
+        for value, n in pairs:
+            seen += n
+            if seen >= rank:
+                return value
+        return pairs[-1][0]
 
     def percentile(self, p: float) -> float:
         """Nearest-rank percentile, ``p`` in [0, 100]."""
-        if not 0 <= p <= 100:
-            raise ValueError(f"percentile must be in [0, 100], got {p}")
-        if not self._values:
-            return 0.0
-        ordered = sorted(self._values)
-        rank = max(1, -(-len(ordered) * p // 100))  # ceil(n * p / 100)
-        return ordered[int(rank) - 1]
+        return self._ranked(self.pairs(), p)
 
     def summary(self) -> Dict[str, float]:
         """The exported shape: count, sum, mean, p50, p95, max."""
         count = self.count
+        pairs = self.pairs()
         return {
             "count": count,
             "sum": self.sum,
             "mean": (self.sum / count) if count else 0.0,
-            "p50": self.percentile(50),
-            "p95": self.percentile(95),
-            "max": self.max,
+            "p50": self._ranked(pairs, 50),
+            "p95": self._ranked(pairs, 95),
+            "max": pairs[-1][0] if pairs else 0.0,
         }
 
 
@@ -119,9 +134,10 @@ LOG_BUCKET_COUNT = 48
 class LogHistogram:
     """A log-bucketed distribution: O(1) observe, bounded memory.
 
-    :class:`Histogram` keeps every raw sample, which is exact but grows
-    without bound — fine for a bench harness, wrong for a server counting
-    an unbounded request stream.  This primitive keeps a fixed array of
+    :class:`Histogram` keeps one count per distinct value, which is exact
+    but grows with every new value — fine for small integer-valued data,
+    wrong for a server timing an unbounded request stream, where almost
+    every latency is new.  This primitive keeps a fixed array of
     geometrically spaced buckets plus exact ``count``/``sum``/``min``/
     ``max``, so every observation is an index increment and the memory
     footprint never changes.
@@ -339,8 +355,8 @@ class MetricsRegistry:
     def dump(self, worker_id: Optional[str] = None) -> Dict[str, Any]:
         """Lossless, picklable export for shipping across process borders.
 
-        Unlike :meth:`snapshot`, histograms carry their raw value lists
-        (and log histograms their bucket counts) so the receiver can
+        Unlike :meth:`snapshot`, histograms carry their ``(value, count)``
+        pairs (and log histograms their bucket counts) so the receiver can
         :meth:`merge` them without degrading percentiles.  ``worker_id``
         stamps the dump with its origin; the merging side then also
         publishes a ``worker.<id>.*`` namespaced copy of every metric, so
@@ -351,9 +367,7 @@ class MetricsRegistry:
                 "worker_id": worker_id,
                 "counters": {k: c.value for k, c in self._counters.items()},
                 "gauges": {k: g.value for k, g in self._gauges.items()},
-                "histograms": {
-                    k: list(h._values) for k, h in self._histograms.items()
-                },
+                "histograms": {k: h.pairs() for k, h in self._histograms.items()},
                 "log_histograms": {
                     k: h.to_dump() for k, h in self._log_histograms.items()
                 },
@@ -379,14 +393,14 @@ class MetricsRegistry:
             self.gauge(name).set(value)
             if worker:
                 self.gauge(f"worker.{worker}.{name}").set(value)
-        for name, values in dump.get("histograms", {}).items():
+        for name, pairs in dump.get("histograms", {}).items():
             metric = self.histogram(name)
-            for value in values:
-                metric.observe(value)
+            for value, n in pairs:
+                metric.observe(value, n)
             if worker:
                 shadow = self.histogram(f"worker.{worker}.{name}")
-                for value in values:
-                    shadow.observe(value)
+                for value, n in pairs:
+                    shadow.observe(value, n)
         for name, payload in dump.get("log_histograms", {}).items():
             self.log_histogram(name).merge_dump(payload)
             if worker:

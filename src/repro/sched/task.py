@@ -43,7 +43,7 @@ class Task:
         receives the identical result object.  ``None`` (default) means
         "always unique".  The key must be JSON-expressible (nested
         tuples/lists/dicts of scalars) — the cache-key tuples built by
-        :func:`repro.core.cache.solve_key` qualify directly.
+        :func:`repro.core.cache.canonical_key` qualify directly.
     placement:
         Where the task body runs: ``"inline"`` in the scheduler loop
         (sub-millisecond arithmetic, aggregations), ``"process"`` on

@@ -2,15 +2,15 @@
 
 The coalescer handles the requests the event loop could not answer from
 the in-memory solve cache (:mod:`repro.core.cache`).  The server computes
-each request's identity once — the canonical solve key (the
-symmetry-quotient identity) and its :func:`~repro.core.cache.stable_digest`
+each request's identity once — the canonical solve key (equal for every
+translate of the pattern) and its :func:`~repro.core.cache.stable_digest`
 — and hands both in with the canonical spec, so nothing here recomputes
 them.  Partitioning solves are CPU-bound, so the intake path:
 
 1. **Coalesces** — requests whose digest matches a queued or in-flight
    job attach to that job's future instead of scheduling work.  Sixteen
-   clients asking for translated — or reflected, or leading-axis permuted
-   — copies of the same stencil cost exactly one solve.
+   clients asking for translated copies of the same stencil cost exactly
+   one solve.
 2. **Micro-batches** — queued distinct jobs drain in batches (up to
    ``batch_max``), one batch at a time.  A batch whose specs' work
    estimates (:meth:`~repro.serve.protocol.SolveSpec.work_estimate`) sum
@@ -26,9 +26,9 @@ them.  Partitioning solves are CPU-bound, so the intake path:
 4. **Solves in process** — the misses run through the DAG scheduler
    (:func:`repro.sched.map_tasks`, digest-keyed), serially, wherever the
    batch runs, with ``solve(..., cache=False)``: the loop has already
-   missed the in-memory cache for them.  The spec is already canonical,
-   and the loop's ``canonicalize`` memoized it as its own representative,
-   so the solver's ``canonicalize`` is a memo hit.
+   missed the in-memory cache for them.  The spec's pattern is already
+   origin-normalized, and the loop's ``canonicalize`` memoized it as its
+   own representative, so the solver's ``canonicalize`` is a memo hit.
 5. **Appends** — each fresh solution is appended to the store's log, one
    ``os.write`` per solve.
 
@@ -122,9 +122,9 @@ def _solve_outcome(spec: SolveSpec) -> Outcome:
 
 
 def _solve_task(item: BatchItem) -> Outcome:
-    """One canonical solve, returning only the canonical
-    :class:`~repro.core.partition.PartitionSolution` — mappings are shape
-    arithmetic the requester rebuilds.
+    """One canonical solve, returning only the
+    :class:`~repro.core.partition.PartitionSolution` of the normalized
+    pattern — mappings are shape arithmetic the requester rebuilds.
 
     The leader's trace id travels in the item payload (neither the batch
     thread nor the coalescer's own task carries the request's context), so
@@ -273,12 +273,13 @@ class Coalescer:
     ) -> Tuple["asyncio.Future[Outcome]", Optional[str]]:
         """Queue a canonical solve (or attach to its twin); returns its future.
 
-        ``spec`` is the canonical-frame spec, ``key`` its canonical solve
+        ``spec`` is the origin-normalized spec, ``key`` its canonical solve
         key and ``digest`` the key's :func:`~repro.core.cache.stable_digest`
         — the caller computes them once per request.  The returned future
         is shared between every coalesced requester: callers must not
-        cancel it directly (wrap waits in ``asyncio.shield``) and must map
-        the canonical solution back into their own frame.
+        cancel it directly (wrap waits in ``asyncio.shield``) and must
+        re-attach their own pattern to the solution
+        (:func:`~repro.core.cache.reattach`).
 
         Returns ``(future, leader_trace_id)``: ``leader_trace_id`` is
         ``None`` when this request *is* the leader (it scheduled the job,

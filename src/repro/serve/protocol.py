@@ -14,15 +14,14 @@ schema:
 * errors are ``{"error": {"code": ..., "message": ...}}`` with a matching
   HTTP status (the codes are the :data:`ERROR_*` constants below).
 
-Identity: a spec's :meth:`~SolveSpec.cache_key` is exactly the in-memory
-solve-cache key, and :meth:`~SolveSpec.digest` is its
-:func:`~repro.core.cache.stable_digest`.  The coalescer and the on-disk
-store key by the *symmetry* identity instead —
-:meth:`~SolveSpec.canonicalized` /  :meth:`~SolveSpec.canonical_digest` —
-so requests that differ by translation, per-axis reflection, or a
-leading-axis permutation all resolve to one solve, stored once in the
-canonical frame and mapped back into each requester's frame through its
-:class:`~repro.core.cache.SymmetryOp`.
+Identity: a spec's :meth:`~SolveSpec.canonical_cache_key` is exactly the
+in-memory solve-cache key, and :meth:`~SolveSpec.canonical_digest` is its
+:func:`~repro.core.cache.stable_digest`, what the coalescer and the on-disk
+store key by.  Requests that differ only by translation share that
+identity and resolve to one solve, stored once for the origin-normalized
+pattern (:meth:`~SolveSpec.canonicalized`); each requester gets it back
+with its own pattern re-attached.  Mirrored or axis-permuted copies are
+different patterns with their own identity.
 
 Work estimates: every spec has one :meth:`~SolveSpec.work_estimate`, built
 from the quantities admission bounds (Algorithm 1's pairs, the same-size
@@ -39,13 +38,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Dict, Hashable, Optional, Tuple
 
-from ..core.cache import (
-    SymmetryOp,
-    canonical_key,
-    canonicalize,
-    solve_key,
-    stable_digest,
-)
+from ..core.cache import canonical_key, canonicalize, stable_digest
 from ..core.mapping import BankMapping, ours_overhead_elements
 from ..core.partition import PartitionSolution
 from ..core.pattern import Pattern
@@ -250,29 +243,19 @@ class SolveSpec:
     objective: Objective
     delta_max: int
 
-    def cache_key(self) -> Hashable:
-        """The translation-normalized solve-cache key (:func:`solve_key`)."""
-        return solve_key(
-            self.pattern, self.shape, self.n_max, self.objective.value, self.delta_max
-        )
-
-    def digest(self) -> str:
-        """Cross-process identity: :func:`stable_digest` of :meth:`cache_key`."""
-        return stable_digest(self.cache_key())
-
     def canonical_cache_key(self) -> Hashable:
-        """The symmetry-quotient key (:func:`repro.core.cache.canonical_key`).
+        """The solve-cache key (:func:`repro.core.cache.canonical_key`).
 
-        Equal for every spec in the pattern's symmetry orbit (same shape
-        tail / ``n_max`` / objective / ``delta_max``) — this is what the
-        in-memory cache actually indexes by under the canonical pipeline.
+        Equal for every translate of the pattern (same shape tail /
+        ``n_max`` / objective / ``delta_max``) — this is what the
+        in-memory cache indexes by.
         """
         return canonical_key(
             self.pattern, self.shape, self.n_max, self.objective.value, self.delta_max
         )
 
     def canonical_digest(self) -> str:
-        """Orbit-wide identity: what the coalescer and the store key by."""
+        """Cross-process identity: what the coalescer and the store key by."""
         return stable_digest(self.canonical_cache_key())
 
     def work_estimate(self) -> int:
@@ -282,8 +265,8 @@ class SolveSpec:
         sweep's ``ceiling · m`` cells.  Where ``N_f`` bounds the sweep, the
         pattern's bounding-box volume stands in for it: ``α``'s suffix
         products keep every transformed offset within that volume, so
-        ``N_f`` never exceeds it.  Every spec in a symmetry orbit gets the
-        same estimate.
+        ``N_f`` never exceeds it.  Translated, mirrored and axis-permuted
+        copies of a spec get the same estimate.
         """
         m = self.pattern.size
         ceiling = _sweep_ceiling(self.objective, self.shape, self.n_max)
@@ -298,28 +281,24 @@ class SolveSpec:
             + SWEEP_CELL_WORK * (ceiling or 0) * m
         )
 
-    def canonicalized(self) -> Tuple["SolveSpec", SymmetryOp]:
-        """The canonical-frame twin of this spec plus the op mapping back.
+    def canonicalized(self) -> Tuple["SolveSpec", Tuple[int, ...]]:
+        """The spec for the origin-normalized pattern, and the corner moved.
 
-        The returned spec's pattern is the orbit representative and its
-        shape is permuted into the canonical frame (the innermost extent
-        stays put — permutations are restricted to leading axes).  Solving
-        the canonical spec and applying
-        :meth:`~repro.core.cache.SymmetryOp.solution_to_caller` yields a
-        solution in this spec's own frame, bit-identical to solving this
-        spec directly.
+        The returned spec's pattern is :func:`~repro.core.cache.canonicalize`
+        of this spec's pattern, and the corner is the minimum offset that
+        was subtracted (all zeros when the pattern already sits at the
+        origin; the spec itself is returned then).  Solving the returned
+        spec and re-attaching this spec's pattern yields exactly what
+        solving this spec directly returns.
         """
-        canon_pattern, op = canonicalize(self.pattern)
-        if op.is_identity and canon_pattern.offsets == self.pattern.offsets:
-            return self, op
-        return (
-            dataclasses.replace(
-                self,
-                pattern=canon_pattern,
-                shape=op.shape_to_canonical(self.shape),
-            ),
-            op,
+        canon_pattern = canonicalize(self.pattern)
+        # Translation keeps the sorted order: first offsets differ by the corner.
+        corner = tuple(
+            a - b for a, b in zip(self.pattern.offsets[0], canon_pattern.offsets[0])
         )
+        if canon_pattern.offsets == self.pattern.offsets:
+            return self, corner
+        return dataclasses.replace(self, pattern=canon_pattern), corner
 
 
 @dataclass(frozen=True)

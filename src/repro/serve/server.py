@@ -45,8 +45,7 @@ Endpoints
     a bounded ring of recent end-to-end request span trees (requires
     observability, ``REPRO_OBS=1``); ``/debug/inflight`` the coalescer's
     queued/in-flight jobs with ages and trace ids; ``/debug/store`` the
-    solution store's occupancy and hit-rate, plus the canonical groups
-    (recorded per request only when ``debug`` is on).
+    solution store's occupancy and hit-rate.
 
 Tracing: with observability enabled every request is assigned a trace id
 (returned in the response payload as ``trace_id``).  The id travels with
@@ -79,7 +78,7 @@ import dataclasses
 import json
 import threading
 import time
-from collections import Counter, OrderedDict
+from collections import Counter
 from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple, Union
 
 from .. import native
@@ -119,9 +118,6 @@ MAX_BODY_BYTES = 1 << 20
 #: Each row's LTB time column runs the scalar search ``repetitions // 10``
 #: times on an executor thread that ``/simulate`` shares.
 MAX_TABLE1_REPETITIONS = 100
-
-#: Canonical groups tracked for /debug/store (LRU beyond this).
-_CANON_GROUPS_MAX = 1024
 
 #: Request span trees kept for ``/debug/traces``.
 DEFAULT_TRACE_BUFFER = 128
@@ -281,11 +277,6 @@ class PartitionServer:
             if store_dir
             else None
         )
-        # canonical digest -> distinct caller (translation-level) digests
-        # seen for it; sizes > 1 mean the symmetry quotient is collapsing
-        # reflected/permuted variants onto one solve.  Recorded only under
-        # debug: its one reader is /debug/store.
-        self._canon_groups: "OrderedDict[str, set]" = OrderedDict()
         self._coalescer_config = dict(
             batch_max=batch_max,
             max_pending=max_pending,
@@ -515,52 +506,36 @@ class PartitionServer:
 
     # -- the solve path ----------------------------------------------------
 
-    def _note_canon_group(self, digest: str, spec: SolveSpec) -> None:
-        """Track which caller-frame identities collapse onto one canonical solve."""
-        group = self._canon_groups.get(digest)
-        if group is None:
-            group = set()
-            self._canon_groups[digest] = group
-            while len(self._canon_groups) > _CANON_GROUPS_MAX:
-                self._canon_groups.popitem(last=False)
-        else:
-            self._canon_groups.move_to_end(digest)
-        if len(group) < 256:
-            group.add(spec.digest())
-
     async def _await_solution(
         self, spec: SolveSpec, deadline: Optional[float], ctx: _RequestContext
     ) -> Tuple[Any, str]:
         """Answer a spec from memory, or submit it and await its shared outcome.
 
-        The spec is reduced to its canonical-frame twin once, and its
+        The spec is reduced to its origin-normalized twin once, and its
         canonical solve key and digest are computed once, here.  So requests
-        that differ by translation, reflection, or leading-axis permutation
-        share one cache entry and coalesce onto one solve.  The shared
-        canonical solution is mapped back through the spec's own
-        :class:`~repro.core.cache.SymmetryOp` — bit-identical to what a
-        direct in-process solve of the caller's pattern returns.
+        that differ by translation share one cache entry and coalesce onto
+        one solve.  The shared solution comes back with the caller's own
+        pattern re-attached — bit-identical to what a direct in-process
+        solve of the caller's pattern returns.
 
         Order: identity, then the expired-deadline check, then the
         in-memory solve cache — a hit is answered right here on the loop
         (no coalescer job, executor hop, or store read) — and only a miss
         is submitted to the coalescer with its key and digest.  Returns
-        ``(solution_in_caller_frame, canonical_digest)``.  When the request
+        ``(solution, canonical_digest)``.  When the request
         coalesces onto another request's in-flight job, the leader's trace
         id lands in ``ctx.links``.
         """
         assert self.coalescer is not None
-        canon_spec, op = spec.canonicalized()
+        canon_spec, _corner = spec.canonicalized()
         key = solve_cache.canonical_solve_key(
             canon_spec.pattern.offsets,
-            canon_spec.shape[-1] if canon_spec.shape else None,
-            canon_spec.n_max,
-            canon_spec.objective.value,
-            canon_spec.delta_max,
+            spec.shape[-1] if spec.shape else None,
+            spec.n_max,
+            spec.objective.value,
+            spec.delta_max,
         )
         digest = solve_cache.canonical_solve_digest(key)
-        if self.debug:
-            self._note_canon_group(digest, spec)
         # An already-expired deadline is rejected before any lookup, so a
         # dead request never consumes queue capacity and a cached answer
         # does not mask the deadline.
@@ -571,13 +546,13 @@ class PartitionServer:
                 HTTP_STATUS[ERROR_DEADLINE],
                 error_payload(ERROR_DEADLINE, "deadline expired before solve"),
             )
-        hit = solve_cache.cache().get(key, canon_spec.pattern)
+        hit = solve_cache.cache().get(key, spec.pattern)
         if hit is not None:
             if self.store is not None:
                 # Keep the store's eviction order honest: a key served from
                 # memory never reaches SolutionStore.get.
                 self.store.touch(digest)
-            return op.solution_to_caller(hit, spec.pattern), digest
+            return hit, digest
         try:
             future, leader_trace = self.coalescer.submit_traced(
                 canon_spec, key, digest, trace_id=ctx.trace_id
@@ -614,7 +589,7 @@ class PartitionServer:
             raise _HttpReply(
                 HTTP_STATUS.get(code, 500), error_payload(code, message)
             )
-        return op.solution_to_caller(outcome[1], spec.pattern), digest
+        return solve_cache.reattach(outcome[1], spec.pattern), digest
 
     @staticmethod
     def _deadline_from(doc: Any) -> Optional[float]:
@@ -806,20 +781,7 @@ class PartitionServer:
 
     async def _handle_debug_store(self, _doc: Any, _ctx: _RequestContext) -> Dict[str, Any]:
         self._require_debug()
-        sizes = {
-            digest: len(group) for digest, group in self._canon_groups.items()
-        }
-        return {
-            "store": self.store.stats() if self.store is not None else None,
-            # How many distinct caller-frame request identities each
-            # canonical solve is serving: >1 means symmetry collapse.
-            "canonical_groups": {
-                "groups": len(sizes),
-                "max_size": max(sizes.values()) if sizes else 0,
-                "collapsed": sum(1 for v in sizes.values() if v > 1),
-                "sizes": {d[:12]: v for d, v in sizes.items()},
-            },
-        }
+        return {"store": self.store.stats() if self.store is not None else None}
 
 
 class ThreadedServer:

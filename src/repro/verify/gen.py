@@ -298,18 +298,17 @@ def iter_cases(count: int, seed: int, start: int = 0) -> Iterator[CaseSpec]:
 
 # -- symmetry variants --------------------------------------------------------
 #
-# The solve cache quotients patterns by translation × per-axis reflection ×
-# leading-axis permutation (see repro.core.cache.canonicalize).  The builders
-# below enumerate members of that orbit for a given (pattern, shape) pair so
-# the symmetry oracles and the property tests share one variant vocabulary.
+# Mirrored and axis-permuted copies of a (pattern, shape) pair: the served
+# benchmark's traffic and the property tests draw on one variant vocabulary.
+# The solve cache identifies translates only (repro.core.cache.canonicalize),
+# so each mirrored or permuted copy is its own translation class and solve.
 
 
 def leading_axis_permutations(ndim: int) -> List[Tuple[int, ...]]:
     """Axis permutations that keep the innermost axis innermost.
 
-    This is the subgroup the canonicalizer quotients by: moving the last
-    axis would change ``|α[-1]|`` and break the Section 4.4 intra-bank
-    layout's bijectivity, so those permutations are never identified.
+    Moving the last axis would hand the Section 4.4 intra-bank layout a
+    different innermost extent, so the variants keep it in place.
     """
     return [perm + (ndim - 1,) for perm in itertools.permutations(range(ndim - 1))]
 
@@ -321,17 +320,18 @@ def symmetry_variants(
     seed: int = 0,
     count: int = 3,
 ) -> List[Tuple[str, "Pattern", Tuple[int, ...]]]:
-    """Orbit members of ``(pattern, shape)`` under one symmetry family.
+    """Mirrored and permuted copies of ``(pattern, shape)``, one family at a time.
 
     ``kind`` selects the family: ``"reflection"`` mirrors each axis (and,
     above 1-D, all axes at once), ``"permutation"`` applies every
     non-identity leading-axis permutation (shape permuted to match), and
     ``"composed"`` draws ``count`` seeded random permutation∘reflection∘
     translation compositions.  Variants are returned translation-normalized
-    — the translation leg of a composition cancels under ``normalized()``,
-    which is exactly the claim the key-invariance checks exercise — and
-    variants identical to the input are dropped (a symmetric pattern can
-    have a smaller orbit than its group).
+    — the translation leg of a composition cancels under ``normalized()``
+    — and variants identical to the input are dropped (a symmetric pattern
+    can have fewer distinct copies than the family has members).  Each
+    variant is solved as its own pattern: the copies of a chiral pattern
+    can need different bank counts.
 
     Returns ``(tag, variant_pattern, variant_shape)`` triples.
     """

@@ -35,19 +35,15 @@ quantity:
     built) return the same first-hit vector, the same
     ``vectors_tried``/``candidates_tried`` and identical op charges (or
     fails identically), and LTB's minimum never exceeds our ``N_f``.
-``symmetry_reflection`` / ``symmetry_permutation`` / ``symmetry_composed``
-    The solve cache's symmetry quotient (translation × per-axis reflection
-    × leading-axis permutation, :func:`repro.core.cache.canonicalize`) is
-    checked per claimed invariance: every orbit member canonicalizes to
-    the same representative and ``canonical_key``, its solve invariants
-    (``N``, ``N_f``, ``δ``, scheme) are orbit-constant, the mapped-back
-    solution is valid **in the variant's own frame** (separation,
-    exhaustive-shift ``δ`` exactness, Section 4.4 bijectivity), and a
-    simulated cache hit — canonical solve mapped back through the
-    variant's :class:`~repro.core.cache.SymmetryOp` — is field-for-field
-    identical to a cold solve of the variant.  ``symmetry_permutation``
-    is not applicable below 3-D (the innermost-fixing subgroup is
-    trivial there).
+``solve_paths``
+    Every path to an answer gives the paper's answer.  On the case pattern
+    and on a translated copy, ``solve(cache=False)`` and
+    ``solve(ops=OpCounter())`` both equal ``partition(same_size=True)``
+    field for field, and the copy shares the pattern's
+    :func:`~repro.core.cache.canonical_key`, so a cache hit across
+    translates is sound.  ``partition`` never canonicalizes, so a
+    canonicalizer that picked any representative other than the
+    translate (a mirror, say) fails here.
 
 Oracles return a list of human-readable failure messages (empty = pass);
 the runner wraps unexpected exceptions as ``crash`` failures, so a raising
@@ -61,15 +57,15 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..baselines.ltb import ltb_partition
-from ..core.cache import canonical_key, canonicalize
+from ..core.cache import canonical_key
 from ..core.mapping import BankMapping, build_mapping, ours_overhead_elements
 from ..core.opcount import OpCounter
 from ..core.partition import PartitionSolution, partition
 from ..core.pattern import Pattern
-from ..core.solver import Objective, _solve_impl, solve
+from ..core.solver import Objective, solve
 from ..errors import PartitioningError, ReproError
 from ..sim.memsim import simulate_sweep
-from .gen import CaseSpec, symmetry_variants
+from .gen import CaseSpec
 
 #: Iteration cap for the differential simulation (conflict structure is
 #: shift-periodic, so a bounded prefix of the sweep already covers every
@@ -422,147 +418,37 @@ def _solution_fields(solution: PartitionSolution) -> Dict[str, object]:
     }
 
 
-def _symmetry_reference(ctx: _Context):
-    """Canonical representative, key, and cold solve of the base pattern.
-
-    Computed once per case and shared by the three symmetry oracles (the
-    checks are pure given these).  Uses ``Objective.LATENCY`` through the
-    :func:`repro.core.solver.solve` driver — the path the canonical cache
-    actually serves — rather than the scheme-selecting ``partition`` API.
-    """
-    ref = getattr(ctx, "_symmetry_ref", None)
-    if ref is None:
-        canon_pattern, _ = canonicalize(ctx.pattern)
-        key = canonical_key(
-            ctx.pattern,
-            ctx.case.shape,
-            ctx.case.n_max,
-            Objective.LATENCY.value,
-            0,
-        )
-        cold = solve(
-            ctx.pattern,
-            ctx.case.shape,
-            n_max=ctx.case.n_max,
-            cache=False,
-        )
-        ref = (canon_pattern, key, cold.solution)
-        ctx._symmetry_ref = ref
-    return ref
-
-
-def _check_symmetry_variant(
-    ctx: _Context, tag: str, variant: Pattern, v_shape: Tuple[int, ...]
-) -> List[str]:
-    """All claimed invariances for one orbit member of the case's pattern."""
+def oracle_solve_paths(ctx: _Context) -> List[str]:
     failures: List[str] = []
-    canon_base, base_key, base_solution = _symmetry_reference(ctx)
-    canon_v, op_v = canonicalize(variant)
-    if canon_v.offsets != canon_base.offsets:
-        failures.append(
-            f"{tag}: orbit members canonicalize differently: variant to "
-            f"{canon_v.offsets}, base to {canon_base.offsets}"
+    case = ctx.case
+    moved = ctx.pattern.translated(tuple(e + 1 for e in ctx.pattern.extents))
+    for tag, pattern in (("pattern", ctx.pattern), ("translated copy", moved)):
+        # The paper's flow on the caller's own offsets; solve()'s latency
+        # objective is the same-size scheme whatever the case's scheme.
+        want = _solution_fields(
+            partition(pattern, n_max=case.n_max, same_size=True, cache=False)
         )
-        return failures  # downstream checks assume a shared representative
-    v_key = canonical_key(
-        variant, v_shape, ctx.case.n_max, Objective.LATENCY.value, 0
+        for path, kwargs in (
+            ("cache=False", {"cache": False}),
+            ("ops=...", {"ops": OpCounter()}),
+        ):
+            got = _solution_fields(
+                solve(pattern, case.shape, n_max=case.n_max, **kwargs).solution
+            )
+            if got != want:
+                failures.append(
+                    f"{tag}: solve({path}) gives {got} but partition gives {want}"
+                )
+    key = canonical_key(
+        ctx.pattern, case.shape, case.n_max, Objective.LATENCY.value, 0
     )
-    if v_key != base_key:
-        failures.append(
-            f"{tag}: canonical_key is not orbit-invariant: {v_key} vs {base_key}"
-        )
-    cold = solve(variant, v_shape, n_max=ctx.case.n_max, cache=False).solution
-    for name in ("n_banks", "n_unconstrained", "delta_ii", "scheme"):
-        got, want = getattr(cold, name), getattr(base_solution, name)
-        if got != want:
-            failures.append(
-                f"{tag}: solve invariant {name} = {got!r} for the variant but "
-                f"{want!r} for the base pattern"
-            )
-    # Validity in the variant's own frame: the mapped-back transform (whose
-    # alpha may carry negative components) must separate, meet its delta
-    # claim exhaustively, and stay Section-4.4 bijective.
-    z_values = cold.transform.transform_pattern(variant)
-    if len(set(z_values)) != variant.size:
-        failures.append(
-            f"{tag}: mapped-back alpha {cold.transform.alpha} does not "
-            f"separate the variant (z = {z_values})"
-        )
-    else:
-        worst, worst_shift = 0, 0
-        for shift in range(_shift_space(cold)):
-            load = _mode(_banks_at_shift(cold, z_values, shift))
-            if load > worst:
-                worst, worst_shift = load, shift
-        if worst != cold.delta_ii + 1:
-            failures.append(
-                f"{tag}: variant-frame solution claims {cold.delta_ii + 1} "
-                f"accesses to the busiest bank but shift {worst_shift} "
-                f"measures {worst}"
-            )
-        try:
-            build_mapping(cold, v_shape).verify_bijective()
-        except ReproError as exc:
-            failures.append(
-                f"{tag}: mapped-back F(x) is not injective within banks: {exc}"
-            )
-    # A warm hit — the canonical solution un-applied through the variant's
-    # SymmetryOp — must be field-for-field identical to the cold solve.
-    canon_shape = op_v.shape_to_canonical(v_shape)
-    canon_solution = _solve_impl(
-        canon_v, canon_shape, ctx.case.n_max, Objective.LATENCY, 0, None
+    moved_key = canonical_key(
+        moved, case.shape, case.n_max, Objective.LATENCY.value, 0
     )
-    warm = op_v.solution_to_caller(canon_solution, variant)
-    if _solution_fields(warm) != _solution_fields(cold):
+    if moved_key != key:
         failures.append(
-            f"{tag}: warm-hit solution differs from the cold solve: "
-            f"{_solution_fields(warm)} vs {_solution_fields(cold)}"
+            f"a translated copy has its own canonical_key: {moved_key} vs {key}"
         )
-    return failures
-
-
-def oracle_symmetry_reflection(ctx: _Context) -> List[str]:
-    failures: List[str] = []
-    for tag, variant, v_shape in symmetry_variants(
-        ctx.pattern, ctx.case.shape, "reflection"
-    ):
-        failures.extend(_check_symmetry_variant(ctx, tag, variant, v_shape))
-    return failures
-
-
-def oracle_symmetry_permutation(ctx: _Context) -> Optional[List[str]]:
-    if ctx.pattern.ndim < 3:
-        return None  # the innermost-fixing permutation subgroup is trivial
-    failures: List[str] = []
-    for tag, variant, v_shape in symmetry_variants(
-        ctx.pattern, ctx.case.shape, "permutation"
-    ):
-        failures.extend(_check_symmetry_variant(ctx, tag, variant, v_shape))
-    return failures
-
-
-def oracle_symmetry_composed(ctx: _Context) -> List[str]:
-    failures: List[str] = []
-    _, base_key, _ = _symmetry_reference(ctx)
-    variants = symmetry_variants(
-        ctx.pattern,
-        ctx.case.shape,
-        "composed",
-        seed=ctx.case.seed * 1000003 + ctx.case.index,
-    )
-    for tag, variant, v_shape in variants:
-        failures.extend(_check_symmetry_variant(ctx, tag, variant, v_shape))
-        # The translation leg of the composition: a raw (un-normalized)
-        # translate of the variant must still share the orbit key.
-        shifted = variant.translated(tuple(e + 1 for e in variant.extents))
-        s_key = canonical_key(
-            shifted, v_shape, ctx.case.n_max, Objective.LATENCY.value, 0
-        )
-        if s_key != base_key:
-            failures.append(
-                f"{tag}: translating the variant changed canonical_key: "
-                f"{s_key} vs {base_key}"
-            )
     return failures
 
 
@@ -575,9 +461,7 @@ ORACLES: Dict[str, Callable[[_Context], List[str]]] = {
     "mapping": oracle_mapping,
     "sim_differential": oracle_sim_differential,
     "ltb_differential": oracle_ltb_differential,
-    "symmetry_reflection": oracle_symmetry_reflection,
-    "symmetry_permutation": oracle_symmetry_permutation,
-    "symmetry_composed": oracle_symmetry_composed,
+    "solve_paths": oracle_solve_paths,
 }
 
 ORACLE_NAMES: Tuple[str, ...] = tuple(ORACLES)

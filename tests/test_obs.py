@@ -120,6 +120,62 @@ class TestMetrics:
         assert summary["max"] == 100
         assert summary["mean"] == pytest.approx(50.5)
 
+    def test_histogram_memory_does_not_grow_with_multiplicity(self):
+        """``sim.cycles_per_iteration`` observes each cycle count once per
+        iteration; a served ``/simulate`` may run 2^26 of them."""
+        import tracemalloc
+
+        hist = obs.registry().histogram("cycles")
+        tracemalloc.start()
+        try:
+            hist.observe(1.0, 10**6)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert (hist.count, hist.sum, hist.max) == (10**6, 1e6, 1.0)
+
+    def test_histogram_summary_matches_the_sorted_list_reference(self):
+        import random
+
+        rng = random.Random(29)
+        sample = []
+        hist = obs.registry().histogram("mixed")
+        for _ in range(500):
+            value = rng.choice([rng.randint(1, 40), rng.random() * 1e3, -rng.random()])
+            n = rng.choice([1, 1, 1, 2, 7, 250])
+            hist.observe(value, n)
+            sample.extend([float(value)] * n)
+        ordered = sorted(sample)
+
+        def nearest_rank(p):
+            return ordered[int(max(1, -(-len(ordered) * p // 100))) - 1]
+
+        summary = hist.summary()
+        assert summary["count"] == len(sample)
+        assert summary["p50"] == nearest_rank(50)
+        assert summary["p95"] == nearest_rank(95)
+        assert summary["max"] == ordered[-1]
+        assert summary["sum"] == pytest.approx(sum(sample), rel=1e-12)
+        assert summary["mean"] == pytest.approx(sum(sample) / len(sample), rel=1e-12)
+        for p in (0, 1, 33.3, 99, 100):
+            assert hist.percentile(p) == nearest_rank(p)
+
+    def test_histogram_dump_ships_value_count_pairs(self):
+        from repro.obs.metrics import MetricsRegistry
+
+        worker = MetricsRegistry()
+        worker.histogram("serve.batch.size").observe(3, 5)
+        worker.histogram("serve.batch.size").observe(1)
+        dump = worker.dump(worker_id="w")
+        assert dump["histograms"] == {"serve.batch.size": [(1.0, 1), (3.0, 5)]}
+        parent = MetricsRegistry()
+        parent.histogram("serve.batch.size").observe(3)
+        parent.merge(json.loads(json.dumps(dump)))
+        merged = parent.histogram("serve.batch.size")
+        assert (merged.count, merged.sum, merged.percentile(50)) == (7, 19.0, 3.0)
+        assert parent.histogram("worker.w.serve.batch.size").count == 6
+
     def test_empty_histogram_summary(self):
         summary = obs.registry().histogram("empty").summary()
         assert summary == {

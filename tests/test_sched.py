@@ -246,14 +246,14 @@ class TestDedup:
     def test_translated_solve_keys_share_a_digest(self):
         # The paper-level sharing property TestSharedSolveGrid leans on:
         # translated copies of one pattern canonicalize to one solve key.
-        from repro.core.cache import solve_key, stable_digest
+        from repro.core.cache import canonical_key, stable_digest
         from repro.patterns import log_pattern
 
         base = log_pattern()
         shifted = [(dx + 3, dy + 5) for dx, dy in base.offsets]
         translated = type(base)(name=base.name, offsets=tuple(shifted))
-        k1 = solve_key(base, (32, 32), 8, "latency", 0)
-        k2 = solve_key(translated, (32, 32), 8, "latency", 0)
+        k1 = canonical_key(base, (32, 32), 8, "latency", 0)
+        k2 = canonical_key(translated, (32, 32), 8, "latency", 0)
         assert stable_digest(k1) == stable_digest(k2)
 
 
@@ -404,7 +404,7 @@ class TestMapTasks:
 
 class TestSharedSolveGrid:
     def test_keyed_dag_matches_the_flat_map_with_fewer_solves(self):
-        from repro.core.cache import solve_key, stable_digest
+        from repro.core.cache import canonical_key, stable_digest
         from repro.patterns import log_pattern
 
         cells = [
@@ -418,7 +418,7 @@ class TestSharedSolveGrid:
         for cell in cells:
             translation, n_max = cell
             pattern = log_pattern().translated(translation)
-            key = ("grid.solve", solve_key(pattern, _GRID_SHAPE, n_max, "latency", 0))
+            key = ("grid.solve", canonical_key(pattern, _GRID_SHAPE, n_max, "latency", 0))
             keys.append(key)
             solve_task = Task(
                 _grid_solve, args=(n_max,), key=key, placement="process"

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import Pattern
-from repro.core.cache import solve_key, stable_digest
+from repro.core.cache import canonical_key, stable_digest
 from repro.core.solver import Objective, solve
 from repro.core.vectorized import DEFAULT_CHUNK_ELEMENTS
 from repro.io import solution_from_dict, solution_to_dict
@@ -99,10 +99,10 @@ class TestProtocol:
 
     def test_solve_spec_identity_matches_cache_key(self):
         spec = parse_solve_spec({"benchmark": "log", "n_max": 10, "shape": [640, 480]})
-        assert spec.cache_key() == solve_key(
+        assert spec.canonical_cache_key() == canonical_key(
             log_pattern(), (640, 480), 10, "latency", 0
         )
-        assert spec.digest() == stable_digest(spec.cache_key())
+        assert spec.canonical_digest() == stable_digest(spec.canonical_cache_key())
 
     def test_request_payload_round_trips(self):
         spec = parse_solve_spec(
@@ -113,14 +113,14 @@ class TestProtocol:
     def test_translated_patterns_share_a_digest(self):
         a = parse_solve_spec({"offsets": [[0, 0], [1, 1]]})
         b = parse_solve_spec({"offsets": [[7, 3], [8, 4]]})
-        assert a.digest() == b.digest()
+        assert a.canonical_digest() == b.canonical_digest()
 
     def test_mask_and_offsets_forms_agree(self):
         mask = parse_solve_spec({"mask": ["010", "111", "010"]})
         offsets = parse_solve_spec(
             {"offsets": [[0, 1], [1, 0], [1, 1], [1, 2], [2, 1]]}
         )
-        assert mask.digest() == offsets.digest()
+        assert mask.canonical_digest() == offsets.canonical_digest()
 
     @pytest.mark.parametrize(
         "body",
@@ -162,7 +162,7 @@ class TestProtocol:
 class TestSolutionStore:
     def _digest_and_solution(self, n_max=10):
         solution = solve(log_pattern(), n_max=n_max, cache=False).solution
-        digest = stable_digest(solve_key(log_pattern(), None, n_max, "latency", 0))
+        digest = stable_digest(canonical_key(log_pattern(), None, n_max, "latency", 0))
         return digest, solution
 
     def test_round_trip_and_reattach(self, tmp_path):
@@ -569,8 +569,8 @@ class TestWarmRestart:
         assert doc["key"] == first["key"]
 
 
-#: A chiral stencil and its axis-0 mirror: one symmetry orbit, two
-#: translation classes, so one canonical solve serves both.
+#: A chiral stencil and its axis-0 mirror: two translation classes, each
+#: solved on its own offsets.
 _CORNER = Pattern([(0, 0), (0, 1), (1, 0)], name="corner")
 _MIRRORED = Pattern([(0, 0), (0, 1), (-1, 0)], name="mirrored")
 
@@ -578,8 +578,9 @@ _MIRRORED = Pattern([(0, 0), (0, 1), (-1, 0)], name="mirrored")
 class TestMemoryTier:
     """Repeats are answered from the in-memory solve cache, on the loop."""
 
-    def test_repeats_and_reflections_skip_the_coalescer_and_store(self, tmp_path):
-        patterns = [_CORNER, _CORNER, _CORNER, _MIRRORED]
+    def test_repeats_and_translations_skip_the_coalescer_and_store(self, tmp_path):
+        moved = _CORNER.translated((5, -2))
+        patterns = [_CORNER, _CORNER, moved, _MIRRORED, _MIRRORED]
         before = _scheduled()
         with serve_in_thread(store_dir=str(tmp_path / "store")) as srv:
             with ServeClient(port=srv.port) as client:
@@ -588,11 +589,15 @@ class TestMemoryTier:
                     for pattern in patterns
                 ]
                 store = client.healthz()["store"]
-        assert _scheduled() - before == 1
+        # One solve per translation class: the mirror is a class of its own.
+        assert _scheduled() - before == 2
         assert store["hits"] == 0
-        assert store["entries"] == 1
-        assert len({doc["key"] for doc in docs}) == 1
-        # Each reply is a cold solve of its own spec, in its own frame.
+        assert store["entries"] == 2
+        assert [doc["key"] for doc in docs[:3]] == [docs[0]["key"]] * 3
+        assert docs[3]["key"] == docs[4]["key"] != docs[0]["key"]
+        # The mirror needs a bank more than the corner (3 against 4).
+        assert [doc["solution"]["n_banks"] for doc in docs] == [3, 3, 3, 4, 4]
+        # Each reply is a cold solve of its own spec.
         for pattern, doc in zip(patterns, docs):
             direct = solve(pattern, shape=(24, 24), n_max=8, cache=False)
             assert solution_from_dict(doc["solution"]) == direct.solution

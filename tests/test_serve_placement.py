@@ -125,12 +125,22 @@ class TestWorkEstimate:
         assert parse_simulate_spec(doc).work_estimate() > INLINE_WORK_BUDGET
 
     def test_estimate_is_shared_by_a_symmetry_orbit(self):
-        spec = parse_solve_spec(
-            {"offsets": [[0, 0], [0, 1], [1, 0]], "shape": [24, 40],
-             "objective": "storage", "n_max": 9}
-        )
-        canonical, _op = spec.canonicalized()
-        assert canonical.work_estimate() == spec.work_estimate()
+        """Translated, mirrored and permuted copies cost the same to solve."""
+        doc = {"shape": [24, 40], "objective": "storage", "n_max": 9}
+        estimates = {
+            parse_solve_spec({**doc, "offsets": offsets}).work_estimate()
+            for offsets in (
+                [[0, 0], [0, 1], [1, 0]],
+                [[4, 7], [4, 8], [5, 7]],
+                [[0, 0], [0, 1], [-1, 0]],
+                [[0, 0], [1, 0], [0, 1]],
+            )
+        }
+        spec = parse_solve_spec({**doc, "offsets": [[4, 7], [4, 8], [5, 7]]})
+        canonical, corner = spec.canonicalized()
+        assert corner == (4, 7)
+        estimates.add(canonical.work_estimate())
+        assert len(estimates) == 1
 
     @pytest.mark.parametrize(
         "objective, n_max, ceiling",

@@ -18,7 +18,7 @@ import threading
 
 import pytest
 
-from repro.core.cache import solve_key, stable_digest
+from repro.core.cache import canonical_key, stable_digest
 from repro.core.solver import solve
 from repro.io import solution_to_dict
 from repro.obs import registry
@@ -34,7 +34,7 @@ def _records(root):
 def _entry(n_max):
     """A (digest, solution) pair; distinct per ``n_max``."""
     solution = solve(log_pattern(), n_max=n_max, cache=False).solution
-    digest = stable_digest(solve_key(log_pattern(), None, n_max, "latency", 0))
+    digest = stable_digest(canonical_key(log_pattern(), None, n_max, "latency", 0))
     return digest, solution
 
 

@@ -17,7 +17,7 @@ import threading
 import pytest
 
 from repro import obs
-from repro.core import Pattern, solve_cache
+from repro.core import solve_cache
 from repro.core.solver import solve
 from repro.patterns import se_pattern
 from repro.sched import TASK_HISTOGRAM, map_tasks
@@ -218,28 +218,13 @@ class TestDebugSurface:
                 assert inflight["queued"] == [] and inflight["inflight"] == []
                 assert inflight["pending"] == 0
                 assert inflight["max_pending"] == 256
-                store = client.debug_store()["store"]
+                debug_store = client.debug_store()
+                assert set(debug_store) == {"store", "trace_id"}
+                store = debug_store["store"]
                 assert store["entries"] == 1
                 assert store["writes"] == 1
                 assert store["bytes"] > 0
                 assert store["hit_rate"] == 0.0  # one lookup, one miss
-
-    def test_debug_store_counts_canonical_groups(self, tmp_path):
-        corner = Pattern([(0, 0), (0, 1), (1, 0)], name="corner")
-        mirrored = Pattern([(0, 0), (0, 1), (-1, 0)], name="mirrored")
-        with serve_in_thread(store_dir=str(tmp_path / "s"), debug=True) as srv:
-            with ServeClient(port=srv.port) as client:
-                client.solve(pattern=corner)
-                client.solve(pattern=mirrored)  # same orbit, answered from memory
-                groups = client.debug_store()["canonical_groups"]
-        assert groups["groups"] == 1
-        assert groups["collapsed"] == 1
-        assert groups["max_size"] == 2
-        # Without --debug nothing can read the groups, so none are kept.
-        with serve_in_thread(store_dir=str(tmp_path / "t")) as srv:
-            with ServeClient(port=srv.port) as client:
-                client.solve(pattern=corner)
-            assert len(srv.server._canon_groups) == 0
 
     def test_trace_buffer_is_bounded(self, telemetry, tmp_path):
         with serve_in_thread(

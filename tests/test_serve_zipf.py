@@ -1,13 +1,13 @@
-"""Zipf traffic through the symmetry-canonical cache and the solution store.
+"""Zipf traffic through the translation-canonical cache and the solution store.
 
 One seeded Zipf(1.1) sequence of 60 ``/solve`` requests over every
 symmetry variant (reflections, leading-axis permutations, compositions and
 a translated twin of each) of two asymmetric kernels, replayed through two
 server lifetimes on one store:
 
-1. **cold** — an empty store: the symmetry quotient must need at most half
-   the solves a translation-only cache would (one per distinct
-   translation-normalized spec);
+1. **cold** — an empty store: exactly one solve per distinct translation
+   class of the requested specs (a translated twin shares its original's
+   solve; a mirrored or permuted copy is a class of its own);
 2. **warm** — a restarted server on the warmed store, with the in-memory
    cache cleared: zero solves, and the same replies as the cold phase.
 
@@ -32,7 +32,7 @@ from repro.serve.protocol import SolveSpec
 from repro.verify.gen import symmetry_variants
 
 #: A corner and a 3-D slab: every 2-D library stencil is reflection
-#: symmetric, so its orbit would collapse to its translations alone.
+#: symmetric, so its mirrored copies would all be translates of it.
 BASES = [
     ("corner2d", ((0, 0), (0, 1), (1, 0)), (24, 24)),
     ("slab3d", ((0, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)), (8, 8, 8)),
@@ -109,13 +109,16 @@ class TestZipfTraffic:
         cold, cold_solves = _replay(traffic, store_dir, count_solves)
         warm, warm_solves = _replay(traffic, store_dir, count_solves)
 
-        translation_keys = len(
+        translation_classes = len(
             {
-                SolveSpec(pattern, shape, N_MAX, Objective.LATENCY, 0).digest()
+                SolveSpec(
+                    pattern, shape, N_MAX, Objective.LATENCY, 0
+                ).canonical_digest()
                 for pattern, shape in traffic
             }
         )
-        assert 0 < cold_solves and cold_solves * 2 <= translation_keys
+        assert len({(p.offsets, s) for p, s in traffic}) > translation_classes
+        assert cold_solves == translation_classes
         assert warm_solves == 0
         assert warm == cold
         expected = {

@@ -18,7 +18,6 @@ from repro.core.cache import (
     canonical_solve_key,
     canonicalize,
     partition_key,
-    solve_key,
     stable_digest,
 )
 from repro.core.opcount import OpCounter
@@ -27,7 +26,6 @@ from repro.eval.sweeps import overhead_vs_banks, throughput_vs_unroll
 from repro.io import pattern_from_dict, pattern_to_dict
 from repro.obs import metrics as obs_metrics
 from repro.patterns import log_pattern, se_pattern
-from repro.verify.gen import symmetry_variants
 
 
 @pytest.fixture()
@@ -165,17 +163,17 @@ class TestCacheKeys:
     def test_solve_key_translation_invariant(self):
         base = se_pattern()
         shifted = Pattern(tuple((r + 3, c + 5) for r, c in base.offsets))
-        assert solve_key(base, (64, 64), 8, "latency", 0) == solve_key(
+        assert canonical_key(base, (64, 64), 8, "latency", 0) == canonical_key(
             shifted, (64, 64), 8, "latency", 0
         )
 
     def test_solve_key_tail_only_shape_dependence(self):
         """Overhead depends only on ``w_{n-1}`` — rows don't split entries."""
         p = log_pattern()
-        assert solve_key(p, (64, 48), 8, "latency", 0) == solve_key(
+        assert canonical_key(p, (64, 48), 8, "latency", 0) == canonical_key(
             p, (640, 48), 8, "latency", 0
         )
-        assert solve_key(p, (64, 48), 8, "latency", 0) != solve_key(
+        assert canonical_key(p, (64, 48), 8, "latency", 0) != canonical_key(
             p, (64, 64), 8, "latency", 0
         )
 
@@ -187,7 +185,7 @@ class TestCacheKeys:
             partition_key(p, 4, True),
         }
         assert len(keys) == 3
-        assert partition_key(p, 8, True) != solve_key(p, None, 8, "latency", 0)
+        assert partition_key(p, 8, True) != canonical_key(p, None, 8, "latency", 0)
 
 
 class TestWarmSweeps:
@@ -221,44 +219,44 @@ class TestStableDigest:
     """Cross-process identity: the hex digest the serve tier keys stores by."""
 
     #: Pinned so a store written by one release stays addressable by the
-    #: next — changing ``solve_key`` or the canonical JSON encoding is a
+    #: next — changing ``canonical_key`` or the canonical JSON encoding is a
     #: store-format break and must show up here.
-    GOLDEN_LOG = "42dc572fbbcbc02bf8d365d19f25c6a890d399fae17d71dd92e5507e841175dd"
+    GOLDEN_LOG = "db875ec916f4171ab203226d9c0f79090b2db7e98da2b8cefac13a08dd9c6839"
 
     def test_golden_value_is_stable(self):
-        key = solve_key(log_pattern(), (640, 480), 10, "latency", 0)
+        key = canonical_key(log_pattern(), (640, 480), 10, "latency", 0)
         assert stable_digest(key) == self.GOLDEN_LOG
 
     def test_digest_is_hex_sha256(self):
-        digest = stable_digest(solve_key(se_pattern(), None, 8, "latency", 0))
+        digest = stable_digest(canonical_key(se_pattern(), None, 8, "latency", 0))
         assert len(digest) == 64
         int(digest, 16)  # must parse as hex
 
     def test_translation_and_tail_invariance_carry_over(self):
-        base = solve_key(log_pattern(), (640, 480), 10, "latency", 0)
+        base = canonical_key(log_pattern(), (640, 480), 10, "latency", 0)
         shifted = Pattern(tuple((r + 9, c + 4) for r, c in log_pattern().offsets))
-        assert stable_digest(solve_key(shifted, (640, 480), 10, "latency", 0)) == (
+        assert stable_digest(canonical_key(shifted, (640, 480), 10, "latency", 0)) == (
             stable_digest(base)
         )
         # Only the innermost extent enters the key, so (64, 480) agrees too.
-        assert stable_digest(solve_key(log_pattern(), (64, 480), 10, "latency", 0)) == (
+        assert stable_digest(canonical_key(log_pattern(), (64, 480), 10, "latency", 0)) == (
             stable_digest(base)
         )
 
     def test_distinct_specs_get_distinct_digests(self):
         digests = {
-            stable_digest(solve_key(log_pattern(), (640, 480), n, "latency", d))
+            stable_digest(canonical_key(log_pattern(), (640, 480), n, "latency", d))
             for n, d in [(10, 0), (9, 0), (10, 1), (None, 0)]
         }
-        digests.add(stable_digest(solve_key(log_pattern(), None, 10, "banks", 0)))
+        digests.add(stable_digest(canonical_key(log_pattern(), None, 10, "banks", 0)))
         assert len(digests) == 5
 
     def test_round_trip_through_io_preserves_digest(self):
         """A pattern serialized and reloaded keys the same store entry."""
         original = se_pattern()
         reloaded = pattern_from_dict(pattern_to_dict(original))
-        assert stable_digest(solve_key(original, (64, 64), 8, "latency", 0)) == (
-            stable_digest(solve_key(reloaded, (64, 64), 8, "latency", 0))
+        assert stable_digest(canonical_key(original, (64, 64), 8, "latency", 0)) == (
+            stable_digest(canonical_key(reloaded, (64, 64), 8, "latency", 0))
         )
 
     def test_tuples_and_lists_digest_identically(self):
@@ -278,13 +276,8 @@ CHIRAL_F = Pattern(((0, 1), (0, 2), (1, 0), (1, 1), (2, 1)), name="chiral_f")
 SKEW_3D = Pattern([(0, 0, 0), (0, 1, 2), (1, 0, 1), (2, 1, 0)], name="skew3d")
 
 
-def _first_reflection(pattern, shape):
-    _tag, variant, v_shape = symmetry_variants(pattern, shape, "reflection")[0]
-    return variant, v_shape
-
-
 class TestCanonicalDigest:
-    """The orbit-wide digest that names every served store artifact.
+    """The translation-class digest that names every served store artifact.
 
     Each golden value pins both encodings of one canonical key: the
     direct one the server uses and :func:`stable_digest`'s walk.
@@ -299,26 +292,26 @@ class TestCanonicalDigest:
             ),
             (
                 CHIRAL_F, (1080, 1920), 3, "banks", 1,
-                "96f7de1a8abd1a50b9aff9776c81090b661c0f943971efdbcd479cab81576895",
+                "478ccbca4e383c9ae320d5ba5859fb4358444815af8e0e10a85731d05afc27f2",
             ),
             (
-                *_first_reflection(CHIRAL_F, (1080, 1920)), 3, "banks", 1,
-                "96f7de1a8abd1a50b9aff9776c81090b661c0f943971efdbcd479cab81576895",
+                CHIRAL_F.translated((-4, 9)), (1080, 1920), 3, "banks", 1,
+                "478ccbca4e383c9ae320d5ba5859fb4358444815af8e0e10a85731d05afc27f2",
             ),
             (
                 SKEW_3D, (16, 24, 60), 12, "storage", 0,
-                "659e6d3ccd9a5f01cfcee119997578621a26d536cb2adfdf9e63559992bdd23f",
+                "63288fbadf0f4e677239c7607f5c31212f45a1902e42382ffa306af5124e80a5",
             ),
             (
-                SKEW_3D.permuted([1, 0, 2]).reflected([0]), (24, 16, 60), 12, "storage", 0,
-                "659e6d3ccd9a5f01cfcee119997578621a26d536cb2adfdf9e63559992bdd23f",
+                SKEW_3D.translated((5, -3, 2)), (16, 24, 60), 12, "storage", 0,
+                "63288fbadf0f4e677239c7607f5c31212f45a1902e42382ffa306af5124e80a5",
             ),
             (
                 Pattern([(0,), (1,), (3,), (7,)]), None, None, "latency", 0,
                 "ab42de3c9fb096a86bf5ebbe82be31906934df439d1066fb908c7d3178743c23",
             ),
         ],
-        ids=["log", "chiral-f", "chiral-f-reflected", "3d-storage", "3d-storage-moved", "1d-no-shape"],
+        ids=["log", "chiral-f", "chiral-f-translated", "3d-storage", "3d-storage-moved", "1d-no-shape"],
     )
     def test_golden_values(self, pattern, shape, n_max, objective, delta_max, golden):
         key = canonical_key(pattern, shape, n_max, objective, delta_max)
@@ -340,6 +333,6 @@ class TestCanonicalDigest:
     def test_direct_encoding_matches_stable_digest(
         self, offsets, tail, n_max, objective, delta_max
     ):
-        canon, _op = canonicalize(Pattern(offsets))
+        canon = canonicalize(Pattern(offsets))
         key = canonical_solve_key(canon.offsets, tail, n_max, objective, delta_max)
         assert canonical_solve_digest(key) == stable_digest(key)

@@ -1,28 +1,23 @@
-"""Symmetry quotient: orbit-invariant keys, warm hits bit-equal to cold solves.
+"""Translation quotient: translate-invariant keys, warm hits bit-equal to cold solves.
 
-Satellite of the canonicalization tentpole: these are the property tests
-over the verify generator's strata — ``canonical_key(p) == canonical_key(T(p))``
-for random compositions of translation, reflection, and leading-axis
-permutation, and a symmetry-op cache hit that is field-for-field equal to
-a cold solve of the very same variant.
+The solve cache identifies a pattern with its translates and with nothing
+else: ``canonical_key(p) == canonical_key(p + s)`` for every shift ``s``
+over the verify generator's strata, and a cache hit is field-for-field a
+cold solve of the caller's own pattern.  Mirrored and axis-permuted copies
+(the generator's symmetry variants) are patterns of their own, each solved
+on its own offsets.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import importlib
+import random
 
 import pytest
 
 from repro.core import cache as cache_mod
 from repro.core import solve, solve_cache
-from repro.core.cache import (
-    MAX_SYMMETRY_NDIM,
-    SymmetryOp,
-    canonical_key,
-    canonicalize,
-    solve_key,
-)
+from repro.core.cache import canonical_key, canonicalize
 from repro.core.pattern import Pattern
 from repro.patterns.library import BENCHMARKS
 from repro.verify.gen import generate_case, symmetry_variants
@@ -58,150 +53,127 @@ def _strata_cases():
         yield Pattern(case.offsets), case.shape, case.n_max
 
 
+def _translates(pattern, seed, count):
+    """``count`` seeded translates of ``pattern``, shifts in [-9, 9] per axis."""
+    rng = random.Random(f"repro-test:translate:{seed}")
+    return [
+        pattern.translated(tuple(rng.randint(-9, 9) for _ in range(pattern.ndim)))
+        for _ in range(count)
+    ]
+
+
 def _key(pattern, shape, n_max):
     return canonical_key(pattern, shape, n_max, "latency", 0)
 
 
 class TestCanonicalKeyOrbitInvariance:
-    @pytest.mark.parametrize("kind", ["reflection", "permutation", "composed"])
-    def test_variants_share_the_key_across_strata(self, kind):
-        """``canonical_key(p) == canonical_key(T(p))`` for every T tried."""
-        checked = 0
+    def test_variants_share_the_key_across_strata(self):
+        """``canonical_key(p) == canonical_key(p + s)`` for every shift tried."""
+        dims = set()
         for pattern, shape, n_max in _strata_cases():
             base = _key(pattern, shape, n_max)
-            for tag, variant, v_shape in symmetry_variants(
-                pattern, shape, kind, seed=3, count=4
-            ):
-                assert _key(variant, v_shape, n_max) == base, (tag, pattern)
-                checked += 1
-        # permutation yields nothing for the 2-D strata — but across 8
-        # generated cases some must be >= 3-D, so the property is never
-        # vacuous for any kind.
-        assert checked > 0
+            for moved in _translates(pattern, seed=3, count=4):
+                assert _key(moved, shape, n_max) == base, (moved, pattern)
+            dims.add(pattern.ndim)
+        assert len(dims) > 1
 
     def test_random_composition_chain_is_key_stable(self):
-        """Compositions of compositions stay on the same orbit key."""
+        """Translates of translates stay on the same key."""
         base = _key(CORNER, (16, 16), 8)
-        frontier = [(CORNER, (16, 16))]
+        frontier = [CORNER]
         for seed in range(4):
-            nxt = []
-            for pattern, shape in frontier:
-                for _tag, variant, v_shape in symmetry_variants(
-                    pattern, shape, "composed", seed=seed, count=2
-                ):
-                    assert _key(variant, v_shape, 8) == base
-                    nxt.append((variant, v_shape))
-            frontier = nxt[:3]  # keep the chain bounded but deep
+            frontier = [
+                moved
+                for pattern in frontier
+                for moved in _translates(pattern, seed=seed, count=2)
+            ][:3]  # keep the chain bounded but deep
+            for pattern in frontier:
+                assert _key(pattern, (16, 16), 8) == base
 
-    def test_canonical_key_never_collides_with_pinned_solve_key(self):
-        """Distinct tag: the store's ``solve_key`` digests stay untouched."""
-        assert _key(CORNER, (16, 16), 8) != solve_key(
-            CORNER, (16, 16), 8, "latency", 0
-        )
-
-    def test_beyond_max_ndim_falls_back_to_translation(self):
-        """5-D would cost ``4!·2^5`` candidates; the op must be identity."""
-        offsets = ((0,) * 5, (1, 0, 1, 0, 1))
-        assert len(offsets[0]) > MAX_SYMMETRY_NDIM
-        canon, op = canonicalize(Pattern(offsets))
-        assert op.is_identity
-        assert canon.offsets == Pattern(offsets).normalized().offsets
+    def test_mirrored_and_permuted_copies_have_their_own_keys(self):
+        slab = Pattern(((0, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)), name="slab")
+        for pattern, shape in ((CORNER, (16, 16)), (slab, (6, 8, 10))):
+            base = _key(pattern, shape, 8)
+            variants = [
+                (variant, v_shape)
+                for kind in ("reflection", "permutation")
+                for _tag, variant, v_shape in symmetry_variants(pattern, shape, kind)
+            ]
+            assert variants
+            for variant, v_shape in variants:
+                assert _key(variant, v_shape, 8) != base, variant
 
     def test_canonicalize_is_deterministic_across_calls(self):
-        first = canonicalize(CORNER)
-        second = canonicalize(CORNER)
-        assert first[0].offsets == second[0].offsets
-        assert first[1] == second[1]
+        first = canonicalize(CORNER.translated((4, -1)))
+        second = canonicalize(CORNER.translated((4, -1)))
+        assert first.offsets == second.offsets == CORNER.offsets
 
 
 class TestCanonicalMemoSeed:
     """Canonicalizing also memoizes the representative, mapped to itself."""
 
     def test_seeded_answer_equals_a_fresh_walk_across_strata(self):
-        """``canonicalize(canon)`` answered from the seed is what a walk over
-        ``canon`` with an empty memo returns: the same representative and
-        the identity op, for 1-D to 4-D cases of all four strata."""
+        """``canonicalize(canon)`` answered from the seed is what a fresh
+        canonicalization of ``canon`` with an empty memo returns: the
+        normalized pattern, for 1-D to 4-D cases of all four strata."""
         dims = set()
         for index in range(16):
             case = generate_case(seed=20250808, index=index)
             pattern = Pattern(case.offsets)
-            variants = [pattern] + [
-                variant
-                for _tag, variant, _shape in symmetry_variants(
-                    pattern, case.shape, "composed", seed=5, count=2
-                )
-            ]
-            for variant in variants:
+            for variant in [pattern] + _translates(pattern, seed=index, count=2):
                 cache_mod._canon_memo.clear()
-                canon, _op = canonicalize(variant)
+                canon = canonicalize(variant)
                 assert canon.offsets in cache_mod._canon_memo
                 seeded = canonicalize(canon)
                 cache_mod._canon_memo.clear()
                 fresh = canonicalize(canon)
-                assert seeded[0].offsets == fresh[0].offsets == canon.offsets
-                assert seeded[1] == fresh[1], (index, variant)
-                assert fresh[1].is_identity
-                walked, perm, flips = cache_mod._walk_orbit(canon.offsets)
-                assert walked == canon.offsets
-                assert SymmetryOp(perm=perm, flips=flips) == seeded[1]
+                assert seeded.offsets == fresh.offsets == canon.offsets
+                assert canon.offsets == variant.normalized().offsets
             dims.add(pattern.ndim)
         assert dims == {1, 2, 3, 4}
 
     def test_solving_a_canonical_pattern_walks_no_orbit(self, monkeypatch):
         """The server solves the canonical spec it computed: the solver's
-        own ``canonicalize`` of it is a memo hit, not a second orbit."""
+        own ``canonicalize`` of it is a memo hit, not a second normalization."""
         cache_mod._canon_memo.clear()
-        orbits = {"n": 0}
-        real = cache_mod._orbit_minimum
+        calls = {"n": 0}
+        real = Pattern.normalized
 
-        def counting(offsets, ndim):
-            orbits["n"] += 1
-            return real(offsets, ndim)
+        def counting(self):
+            calls["n"] += 1
+            return real(self)
 
-        monkeypatch.setattr(cache_mod, "_orbit_minimum", counting)
-        canon, op = canonicalize(CORNER.reflected((0,)))
-        assert not op.is_identity
-        assert orbits["n"] == 1  # a new pattern pays for its orbit once
+        monkeypatch.setattr(Pattern, "normalized", counting)
+        canon = canonicalize(CORNER.translated((3, 4)))
+        assert calls["n"] == 1  # a new pattern is normalized once
         solve(canon, (16, 16), n_max=8, cache=False)
-        assert orbits["n"] == 1
+        assert calls["n"] == 1
 
 
 class TestOnePassOrbit:
-    """``canonicalize`` builds the orbit in one pass; the walk is its oracle.
+    """``canonicalize`` is ``Pattern.normalized``, memoized.
 
-    Equal means the same representative *and* the same op: ties between
-    group elements must resolve to the first in the walk's enumeration.
+    Every pattern maps to its own normalized offsets; mirrored and
+    permuted copies keep theirs.
     """
-
-    @staticmethod
-    def _assert_matches_walk(pattern):
-        cache_mod._canon_memo.clear()
-        canon, op = canonicalize(pattern)
-        walked = cache_mod._walk_orbit(pattern.offsets)
-        assert (canon.offsets, op.perm, op.flips) == walked, pattern.offsets
 
     def test_verify_strata_and_their_symmetry_variants(self):
         dims = set()
         for index in range(32):
             case = generate_case(seed=20250808, index=index)
             pattern = Pattern(case.offsets)
-            self._assert_matches_walk(pattern)
-            for kind in ("reflection", "permutation", "composed"):
+            variants = [pattern] + [
+                variant
+                for kind in ("reflection", "permutation", "composed")
                 for _tag, variant, _shape in symmetry_variants(
                     pattern, case.shape, kind, seed=index, count=2
-                ):
-                    self._assert_matches_walk(variant)
+                )
+            ]
+            for variant in variants:
+                cache_mod._canon_memo.clear()
+                assert canonicalize(variant).offsets == variant.normalized().offsets
             dims.add(pattern.ndim)
         assert dims == {1, 2, 3, 4}
-
-    @pytest.mark.parametrize("name", ["log", "se", "sobel3d"])
-    def test_self_symmetric_patterns_keep_the_first_tied_op(self, name):
-        """Every reflection maps these onto themselves, so many group
-        elements tie on the representative."""
-        pattern = BENCHMARKS[name]()
-        self._assert_matches_walk(pattern)
-        for axes in ((0,), (pattern.ndim - 1,), tuple(range(pattern.ndim))):
-            self._assert_matches_walk(pattern.reflected(axes))
 
     @pytest.mark.parametrize("name", ["log", "canny", "sobel3d"])
     def test_far_translated_patterns(self, name):
@@ -210,33 +182,23 @@ class TestOnePassOrbit:
         base = BENCHMARKS[name]()
         shift = ((1 << 70) + 3, -(1 << 70), 1 << 69)[: base.ndim]
         far = base.translated(shift)
-        self._assert_matches_walk(far)
-        self._assert_matches_walk(far.reflected((0,)))
-        assert canonicalize(far)[0].offsets == canonicalize(base)[0].offsets
+        assert canonicalize(far).offsets == canonicalize(base).offsets
+        assert canonicalize(far).offsets == base.normalized().offsets
 
     def test_extents_past_int64_sort_exactly(self):
-        for offsets in (
-            ((0, 0), ((1 << 64) + 1, 1), (3, 1 << 66)),
-            ((0,), (1 << 65,), (7,)),
-            ((0, 0, 5), (1 << 63, 2, 0), (1, 1 << 64, 1)),
+        for offsets, normalized in (
+            (((0, 0), ((1 << 64) + 1, 1), (3, 1 << 66)),
+             ((0, 0), (3, 1 << 66), ((1 << 64) + 1, 1))),
+            (((0,), (1 << 65,), (7,)), ((0,), (7,), (1 << 65,))),
+            (((0, 0, 5), (1 << 63, 2, 0), (1, 1 << 64, 1)),
+             ((0, 0, 5), (1, 1 << 64, 1), (1 << 63, 2, 0))),
         ):
-            self._assert_matches_walk(Pattern(offsets))
-
-    def test_beyond_max_ndim_builds_no_orbit(self, monkeypatch):
-        def refuse(offsets, ndim):
-            raise AssertionError("5-D patterns use the translation quotient")
-
-        monkeypatch.setattr(cache_mod, "_orbit_minimum", refuse)
-        pattern = Pattern(((3,) * 5, (4, 3, 4, 3, 4)), name="five")
-        canon, op = canonicalize(pattern)
-        assert op.is_identity
-        assert canon.offsets == ((0,) * 5, (1, 0, 1, 0, 1))
-        assert canon.name == "five"
+            assert canonicalize(Pattern(offsets)).offsets == normalized
 
     def test_a_hit_relabels_the_memoized_pattern(self):
         cache_mod._canon_memo.clear()
-        first, _ = canonicalize(Pattern(CORNER.offsets, name="a"))
-        second, _ = canonicalize(Pattern(CORNER.offsets, name="b"))
+        first = canonicalize(Pattern(CORNER.offsets, name="a"))
+        second = canonicalize(Pattern(CORNER.offsets, name="b"))
         assert (first.name, second.name) == ("a", "b")
         assert second.offsets is first.offsets
 
@@ -256,48 +218,38 @@ class TestWarmHitEqualsColdSolve:
             "algorithm": solution.algorithm,
         }
 
-    @pytest.mark.parametrize("kind", ["reflection", "composed"])
-    def test_symmetry_hit_is_field_for_field_a_cold_solve(self, kind, count_solves):
-        """A hit through a non-identity op must be indistinguishable from
-        a cold solve of the caller's own variant — same ``α`` signs, same
-        axis order, same pattern identity, everything."""
+    def test_symmetry_hit_is_field_for_field_a_cold_solve(self, count_solves):
+        """A hit on a translate must be indistinguishable from a cold solve
+        of the caller's own translate — same ``α``, same pattern identity,
+        everything."""
         for pattern, shape, n_max in list(_strata_cases())[:4]:
             solve_cache.clear()
             solve(pattern, shape, n_max=n_max)
-            base_calls = count_solves["n"]
-            for tag, variant, v_shape in symmetry_variants(
-                pattern, shape, kind, seed=11, count=2
-            ):
-                cold = solve(variant, v_shape, n_max=n_max, cache=False)
+            for moved in _translates(pattern, seed=11, count=2):
+                cold = solve(moved, shape, n_max=n_max, cache=False)
                 calls_after_cold = count_solves["n"]
-                warm = solve(variant, v_shape, n_max=n_max)
+                warm = solve(moved, shape, n_max=n_max)
                 # The warm call answered from cache: zero new solver runs.
-                assert count_solves["n"] == calls_after_cold, tag
+                assert count_solves["n"] == calls_after_cold, moved
                 assert self._fields(warm.solution) == self._fields(
                     cold.solution
-                ), (tag, pattern)
-            assert count_solves["n"] >= base_calls
+                ), (moved, pattern)
 
-    def test_reflected_request_hits_the_original_entry(self, count_solves):
-        solve(CORNER, (16, 16), n_max=8)
-        reflected = CORNER.reflected((0, 1)).normalized()
-        result = solve(reflected, (16, 16), n_max=8)
-        assert count_solves["n"] == 1
-        assert result.solution.pattern.offsets == reflected.offsets
-        # A reflected hit re-signs alpha; |alpha[-1]| must stay 1 (S4.4).
-        assert abs(result.solution.transform.alpha[-1]) == 1
-
-    def test_permuted_3d_request_hits_the_original_entry(self, count_solves):
-        base = Pattern(((0, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)), name="slab")
-        solve(base, (6, 8, 10), n_max=8)
-        permuted = base.permuted((1, 0, 2))
+    def test_mirrored_and_permuted_requests_solve_on_their_own_offsets(
+        self, count_solves
+    ):
+        mirrored = CORNER.reflected((0,))
+        assert solve(CORNER, (16, 16), n_max=8).solution.n_banks == 3
+        result = solve(mirrored, (16, 16), n_max=8)
+        assert count_solves["n"] == 2
+        assert result.solution.n_banks == 4  # the paper's answer for the mirror
+        slab = Pattern(((0, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)), name="slab")
+        solve(slab, (6, 8, 10), n_max=8)
+        permuted = slab.permuted((1, 0, 2))
         result = solve(permuted, (8, 6, 10), n_max=8)
-        assert count_solves["n"] == 1
-        assert result.solution.pattern.offsets == permuted.offsets
+        assert count_solves["n"] == 4
         cold = solve(permuted, (8, 6, 10), n_max=8, cache=False)
-        assert self.__class__._fields(result.solution) == self.__class__._fields(
-            cold.solution
-        )
+        assert self._fields(result.solution) == self._fields(cold.solution)
 
     def test_hit_re_attaches_caller_name(self, count_solves):
         """Names ride along even when offsets coincide (the serve-tier leak)."""
@@ -308,17 +260,3 @@ class TestWarmHitEqualsColdSolve:
         assert count_solves["n"] == 1
         assert first.solution.pattern.name == "requester-a"
         assert second.solution.pattern.name == "requester-b"
-
-
-class TestSymmetryOpAlgebra:
-    def test_identity_op_properties(self):
-        op = SymmetryOp(perm=(0, 1), flips=(False, False))
-        assert op.is_identity
-        assert op.shape_to_canonical((4, 9)) == (4, 9)
-
-    def test_shape_permutes_through_leading_axes(self):
-        op = SymmetryOp(perm=(1, 0, 2), flips=(False, True, False))
-        assert not op.is_identity
-        assert op.shape_to_canonical((4, 9, 16)) == (9, 4, 16)
-        # The innermost extent — the one solve keys depend on — is pinned.
-        assert op.shape_to_canonical((4, 9, 16))[-1] == 16

@@ -82,12 +82,13 @@ class TestRunValidation:
         assert "0 failed" in capsys.readouterr().out
 
     def test_module_runs_as_a_script(self):
-        # ``make validate`` and CI run the harness with ``python -m``.
+        # ``make validate`` and CI run the harness with ``python -m``; a
+        # package re-export would import the module twice, which warns.
         src = Path(__file__).resolve().parent.parent / "src"
         env = dict(os.environ, PYTHONPATH=str(src))
         done = subprocess.run(
-            [sys.executable, "-m", "repro.eval.validation", "--quick",
-             "--benchmarks", "se"],
+            [sys.executable, "-W", "error::RuntimeWarning", "-m",
+             "repro.eval.validation", "--quick", "--benchmarks", "se"],
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert done.returncode == 0, done.stderr

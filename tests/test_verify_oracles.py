@@ -24,11 +24,9 @@ def _case(**overrides):
 
 class TestCoverage:
     def test_small_case_runs_every_oracle(self):
-        # 2-D: the leading-axis permutation subgroup is trivial, so the
-        # permutation oracle declares itself not applicable.
         outcome = run_oracles(_case())
         assert outcome.ok, outcome.failures
-        assert set(outcome.checked) == set(ORACLE_NAMES) - {"symmetry_permutation"}
+        assert set(outcome.checked) == set(ORACLE_NAMES)
 
     def test_two_level_case_is_clean(self):
         outcome = run_oracles(_case(n_max=4, scheme="two-level"))
@@ -45,10 +43,7 @@ class TestCoverage:
         assert len(offsets) > LTB_MAX_SIZE
         outcome = run_oracles(_case(offsets=offsets, shape=[6, 6]))
         assert outcome.ok, outcome.failures
-        assert set(outcome.checked) == set(ORACLE_NAMES) - {
-            "ltb_differential",
-            "symmetry_permutation",  # 2-D: no non-trivial leading-axis perm
-        }
+        assert set(outcome.checked) == set(ORACLE_NAMES) - {"ltb_differential"}
 
     def test_4d_case_skips_only_the_ltb_oracle(self):
         assert 4 > LTB_MAX_NDIM
@@ -68,6 +63,31 @@ class TestCoverage:
     def test_one_bank_ceiling_is_clean(self):
         outcome = run_oracles(_case(n_max=1, scheme="two-level"))
         assert outcome.ok, outcome.failures
+
+
+class TestSolvePaths:
+    #: ``chiral_f``: no reflection maps it onto itself, and its axis-0
+    #: mirror needs 8 banks where it needs 7.
+    CHIRAL_F = [[0, 1], [0, 2], [1, 0], [1, 1], [2, 1]]
+
+    @pytest.mark.parametrize("n_max", [None, 5])
+    def test_chiral_case_is_clean(self, n_max):
+        outcome = run_oracles(_case(offsets=self.CHIRAL_F, n_max=n_max))
+        assert outcome.ok, outcome.failures
+        assert "solve_paths" in outcome.checked
+
+    def test_a_reflecting_canonicalizer_fails_solve_paths(self, monkeypatch):
+        """Fault injection: a canonicalizer that solves the mirror instead
+        of the translate gives an answer ``partition`` does not."""
+        from repro.core import cache as cache_mod
+
+        def reflecting(pattern):
+            return pattern.reflected((0,)).normalized().with_name(pattern.name)
+
+        monkeypatch.setattr(cache_mod, "canonicalize", reflecting)
+        outcome = run_oracles(_case(offsets=self.CHIRAL_F))
+        assert {f.oracle for f in outcome.failures} == {"solve_paths"}
+        assert any("partition" in f.message for f in outcome.failures)
 
 
 class TestCrashWrapping:
